@@ -509,22 +509,34 @@ def load_checkpoint(path) -> DrnnParams:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: checkpoint is not a JSON object")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {payload.get('format_version')!r}"
         )
-    config = DrnnConfig.from_dict(payload.get("config", {}))
+    try:
+        config = DrnnConfig.from_dict(payload.get("config", {}))
+    except ConfigurationError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     arrays = payload.get("arrays", {})
+    if not isinstance(arrays, dict):
+        raise DataError(f"{path}: checkpoint arrays are not a JSON object")
     loaded = {}
     for name, shape in _expected_shapes(config):
         entry = arrays.get(name)
         if entry is None:
             raise DataError(f"{path}: checkpoint missing array {name!r}")
-        if tuple(entry.get("shape", ())) != shape:
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: array {name!r} is not a JSON object")
+        if not isinstance(entry.get("shape"), list) or tuple(entry["shape"]) != shape:
             raise DataError(
                 f"{path}: array {name!r} has shape {entry.get('shape')}, expected {list(shape)}"
             )
-        data = np.asarray(entry.get("data"), dtype=np.float64)
+        try:
+            data = np.asarray(entry.get("data"), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: array {name!r} data is not a list of numbers") from exc
         if data.shape != (int(np.prod(shape)),):
             raise DataError(f"{path}: array {name!r} data length mismatch")
         if not np.all(np.isfinite(data)):

@@ -18,6 +18,16 @@ Three integration methods plus ablation variants:
 
 run_pipeline() exposes these plus the raw/position-only baselines and the
 ablations that drop one refinement stage at a time.
+
+Cost. The neighbor search is exact but does not sort the whole store per
+query: one BLAS mat-vec gives every key's squared distance through the
+expansion |k|^2 - 2 k.q + |q|^2, np.partition finds the k-th smallest, and
+only the keys within twice a forward-error bound of it are re-ranked with
+the exact formula and a stable sort (nearest_indices derives the bound).
+The result is the full stable sort's, bit for bit, for finite inputs. The
+gate mean is one row reduction over a component-major gather, with a loop
+only over components the gate partly rejects, and the Kalman gain sequence,
+which does not depend on the data, is computed once per stream.
 """
 
 from __future__ import annotations
@@ -120,7 +130,11 @@ def estimate_gate(validation_residuals, theta: float = 0.05) -> GateModel:
 
 @dataclass(frozen=True)
 class NeighborStore:
-    """Paired (key pose, target pose) training points for KNN regression."""
+    """Paired (key pose, target pose) training points for KNN regression.
+
+    Keys and targets must be finite: the neighbor search is exact only for
+    finite inputs.
+    """
 
     keys: np.ndarray  # (n, 48)
     targets: np.ndarray  # (n, 48)
@@ -137,27 +151,83 @@ class NeighborStore:
             raise ValueError("store must not be empty")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        if not (np.all(np.isfinite(keys)) and np.all(np.isfinite(targets))):
+            raise ValueError("keys and targets must be finite")
         keys = keys.copy()
         targets = targets.copy()
-        keys.setflags(write=False)
-        targets.setflags(write=False)
+        key_norms2 = np.sum(keys * keys, axis=1)
+        # component-major, so that a gather of neighbors along axis 1 is
+        # C-contiguous and its row sums are numpy's pairwise sums
+        targets_t = np.ascontiguousarray(targets.T)
+        for arr in (keys, targets, key_norms2, targets_t):
+            arr.setflags(write=False)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "_key_norms2", key_norms2)
+        object.__setattr__(self, "_max_key_norm2", float(key_norms2.max()))
+        object.__setattr__(self, "_targets_t", targets_t)
 
     def __len__(self) -> int:
         return self.keys.shape[0]
 
 
+# Slack factor of the prefilter's forward-error bound; see nearest_indices.
+_PREFILTER_SLACK = 4 * (POSE_DIM + 2)
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+
+
 def nearest_indices(store: NeighborStore, query) -> np.ndarray:
     """Indices of the k nearest keys by Euclidean distance.
 
-    Exact brute-force search; ties at equal distance go to the lower store
-    index. k is clamped to the store size.
+    Exact search; ties at equal distance go to the lower store index. k is
+    clamped to the store size. The result is, bit for bit, that of a stable
+    argsort of d[i] = np.sum((keys[i] - q) ** 2) over the whole store; a
+    non-finite query raises NumericalError.
+
+    When k < n, a prefilter picks the keys worth ranking exactly. For key k
+    and query q, with m = 48 components, unit roundoff u = eps/2 and
+    gamma_m = m u / (1 - m u), let a = fl(fl(|k|^2) - 2 fl(k.q)), the
+    expansion without its constant |q|^2. With S = |k|^2 + |q|^2:
+
+    * fl(|k|^2) is a sum of m products, off by at most gamma_m |k|^2;
+    * fl(k.q) from BLAS, in any summation order and with or without fused
+      multiply-adds, is off by at most gamma_m sum|k_j q_j| <= gamma_m S / 2;
+    * the subtraction rounds by at most u |fl(|k|^2) - 2 fl(k.q)|, which is
+      about u (|k|^2 + 2|k||q|) <= 2 u S;
+    * the exact formula's d rounds each difference and square and sums m
+      nonnegative terms, so it is off by at most gamma_(m+2) |k - q|^2
+      <= 2 gamma_(m+2) S.
+
+    So |(a + |q|^2) - d| <= (4m + 6) u S to first order. Products that
+    underflow add at most half a subnormal step each, 2m steps in all (the
+    k.q products count twice). E = 4 (m + 2) (eps S_max + step), with
+    S_max = max|k|^2 + |q|^2, is twice both bounds; the margin covers the
+    second-order terms and the rounding of the threshold below.
+
+    Let D be the k-th smallest d and a_k the k-th smallest a. Each of the
+    k nearest keys has d <= D, so a <= D + E - |q|^2 for each; and a_k
+    >= D - E - |q|^2, or else k keys would have d < D. Every one of the k
+    nearest keys therefore has a <= a_k + 2E. Those keys, in index order,
+    are re-ranked with d and a stable argsort, which reproduces the full
+    sort's order and its lower-index tie-break. When k >= n, or when S_max
+    overflows, every key is ranked.
     """
     q = np.asarray(query, dtype=np.float64)
-    d2 = np.sum((store.keys - q) ** 2, axis=1)
-    k = min(store.k, len(store))
-    return np.argsort(d2, kind="stable")[:k]
+    if not np.all(np.isfinite(q)):
+        raise NumericalError("nearest-neighbor query is not finite")
+    keys = store.keys
+    n = keys.shape[0]
+    k = min(store.k, n)
+    bound = _PREFILTER_SLACK * (_EPS * (store._max_key_norm2 + float(q @ q)) + _TINY)
+    if k < n and np.isfinite(bound):
+        approx = store._key_norms2 - 2.0 * (keys @ q)
+        kth = np.partition(approx, k - 1)[k - 1]
+        candidates = np.flatnonzero(approx <= kth + 2.0 * bound)
+    else:
+        candidates = np.arange(n)
+    d2 = np.sum((keys[candidates] - q) ** 2, axis=1)
+    return candidates[np.argsort(d2, kind="stable")[:k]]
 
 
 def sknn_step(store: NeighborStore, gate: GateModel, query, velocity, prev) -> np.ndarray:
@@ -180,13 +250,17 @@ def sknn_step(store: NeighborStore, gate: GateModel, query, velocity, prev) -> n
     velocity = np.asarray(velocity, dtype=np.float64)
     prev = np.asarray(prev, dtype=np.float64)
     idx = nearest_indices(store, query)
-    targets = store.targets[idx]
-    deviation = np.abs((targets - prev) - velocity)
-    ok = gate.passes(deviation)
-    out = np.empty(POSE_DIM)
-    for j in range(POSE_DIM):
-        kept = targets[ok[:, j], j]
-        out[j] = kept.mean() if kept.size else targets[:, j].mean()
+    # (48, k) and C-contiguous: each row's reduction is the same pairwise sum
+    # as the mean of that component's column of the (k, 48) neighbor targets
+    rows = np.take(store._targets_t, idx, axis=1)
+    deviation = np.abs((rows.T - prev) - velocity)
+    kept_t = gate.passes(deviation).T
+    out = np.add.reduce(rows, axis=1) / idx.size
+    # components whose gate keeps every neighbor, or none (the fallback),
+    # already hold the ungated mean
+    for j in np.flatnonzero(kept_t.any(axis=1) & ~kept_t.all(axis=1)):
+        kept = rows[j][kept_t[j]]
+        out[j] = np.add.reduce(kept) / kept.size
     return out
 
 
@@ -248,14 +322,25 @@ def kalman_filter_stream(measurements, control_velocities, measurement_noise,
             f"need one control velocity per transition: got {vel.shape} "
             f"for {meas.shape[0]} measurements"
         )
-    r = np.asarray(measurement_noise, dtype=np.float64)
-    q = np.asarray(process_noise, dtype=np.float64)
+    # validates the noise diagonals' shapes and signs
+    state = KalmanState(x=meas[0], P=measurement_noise, Q=process_noise, R=measurement_noise)
+    q, r = state.Q, state.R
+    # P + Q + R is nondecreasing in P >= 0, so it vanishes at some step only
+    # if it does at the first, where P = R
+    if vel.shape[0] and np.any((r + q) + r == 0.0):
+        raise NumericalError("P + Q + R vanished in some component; gain undefined")
+    # kalman_step's gain recursion, which does not depend on the data
+    gains = np.empty_like(vel)
+    p = r
+    for t in range(vel.shape[0]):
+        p_pred = p + q
+        gains[t] = p_pred / (p_pred + r)
+        p = (1.0 - gains[t]) * p_pred
     out = np.empty_like(meas)
     out[0] = meas[0]
-    state = KalmanState(x=meas[0], P=r, Q=q, R=r)
     for t in range(1, meas.shape[0]):
-        state, fused = kalman_step(state, vel[t - 1], meas[t])
-        out[t] = fused
+        x_pred = out[t - 1] + vel[t - 1]
+        out[t] = x_pred + gains[t - 1] * (meas[t] - x_pred)
     return out
 
 

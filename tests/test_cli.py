@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from skelrefine import metrics, seqio
+from skelrefine import drnn, metrics, seqio
 from skelrefine.cli import main
 
 TOY_CONFIG = {
@@ -153,6 +153,40 @@ class TestRefineAndEval:
         )
         assert code == 2
         assert "pdrnn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("malformed", [
+        "payload_list", "payload_string", "config_string", "arrays_list", "entry_string",
+        "data_string",
+    ])
+    def test_malformed_checkpoint_is_one_line_data_error(self, workspace, capsys, malformed):
+        tmp_path, config = workspace
+        assert run("synth", "--config", config) == 0
+        checkpoint = tmp_path / "models" / "pdrnn.json"
+        checkpoint.parent.mkdir()
+        cfg = drnn.DrnnConfig(hidden_sizes=(4, 4), recurrent_layer_index=1)
+        drnn.save_checkpoint(checkpoint, drnn.init_params(cfg))
+        payload = json.loads(checkpoint.read_text())
+        if malformed == "payload_list":
+            payload = []
+        elif malformed == "payload_string":
+            payload = "x"
+        elif malformed == "config_string":
+            payload["config"] = "x"
+        elif malformed == "arrays_list":
+            payload["arrays"] = []
+        elif malformed == "entry_string":
+            payload["arrays"]["recurrent"] = "x"
+        else:
+            payload["arrays"]["recurrent"]["data"] = "x"
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(
+            "refine", "--config", config, "--variant", "pdrnn",
+            "--input", tmp_path / "corpus" / "test.corrupted.jsonl",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_refine_then_eval_round_trip(self, trained, capsys):
         tmp_path, config = trained

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelrefine import drnn
 from skelrefine.errors import ConfigurationError, NumericalError
 from skelrefine.fusion import (
+    _sknn_track,
     FusionModels,
     GateModel,
     KalmanState,
@@ -205,6 +208,96 @@ class TestSknnStep:
         assert sknnkf_step is sknn_step
 
 
+def brute_force_nearest(keys, query, k):
+    """Independent reference: full (distance, index) sort."""
+    d2 = [float(np.sum((keys[i] - query) ** 2)) for i in range(len(keys))]
+    return sorted(range(len(keys)), key=lambda i: (d2[i], i))[:k]
+
+
+@st.composite
+def knn_cases(draw):
+    """A store, k and query; keys may share a large offset, repeat exactly,
+    and tie at the k-th neighbor."""
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(1, n + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e2, 1e4]))
+    spread = draw(st.sampled_from([1e-3, 1e-1, 1.0]))
+    pool = offset + spread * rng.normal(size=(draw(st.integers(1, n)), POSE_DIM))
+    keys = pool[rng.integers(0, len(pool), size=n)]
+    if draw(st.booleans()):
+        query = keys[int(rng.integers(0, n))].copy()
+    else:
+        query = offset + spread * rng.normal(size=POSE_DIM)
+    order = brute_force_nearest(keys, query, n)
+    if k < n and draw(st.booleans()):
+        # copies of the k-th nearest key among the keys ranked after it make
+        # a tie that straddles the boundary
+        outside = order[k:]
+        copies = rng.choice(outside, size=min(len(outside), draw(st.integers(1, 4))),
+                            replace=False)
+        keys[copies] = keys[order[k - 1]]
+    return keys, k, query
+
+
+class TestNearestIndices:
+    @given(knn_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sort_reference(self, case):
+        keys, k, query = case
+        store = NeighborStore(keys, np.zeros_like(keys), k=k)
+        assert list(nearest_indices(store, query)) == brute_force_nearest(keys, query, k)
+
+    def test_store_rejects_non_finite_keys_and_targets(self):
+        finite = np.zeros((3, POSE_DIM))
+        for bad_value in (np.nan, np.inf):
+            bad = finite.copy()
+            bad[1, 2] = bad_value
+            with pytest.raises(ValueError):
+                NeighborStore(bad, finite)
+            with pytest.raises(ValueError):
+                NeighborStore(finite, bad)
+
+    def test_non_finite_query_is_numerical_error(self):
+        rng = np.random.default_rng(16)
+        store = NeighborStore(rng.normal(size=(8, POSE_DIM)), rng.normal(size=(8, POSE_DIM)),
+                              k=3)
+        query = rng.normal(size=POSE_DIM)
+        query[4] = np.nan
+        with pytest.raises(NumericalError):
+            nearest_indices(store, query)
+
+    def test_track_matches_brute_force_loop(self):
+        rng = np.random.default_rng(17)
+        keys = rng.normal(size=(120, POSE_DIM))
+        keys[60] = keys[10]  # a distance tie
+        targets = rng.normal(scale=0.1, size=(120, POSE_DIM))
+        k, theta = 30, 0.05
+        sigma2 = np.full(POSE_DIM, 1e6)  # keeps every neighbor
+        sigma2[5] = 1e-18  # rejects every neighbor: the fallback
+        sigma2[11] = 0.01  # rejects some neighbors
+        store = NeighborStore(keys, targets, k=k)
+        gate = GateModel(sigma2, theta)
+        query = rng.normal(size=(40, POSE_DIM))
+        query[7] = keys[10]
+        velocity = rng.normal(scale=0.01, size=(39, POSE_DIM))
+
+        out = _sknn_track(query, velocity, store, gate)
+
+        expected = np.empty_like(query)
+        expected[0] = query[0]
+        kept_11 = []
+        for t in range(1, 40):
+            expected[t] = brute_force_sknn(keys, targets, k, sigma2, theta, query[t],
+                                           velocity[t - 1], expected[t - 1])
+            near = brute_force_nearest(keys, query[t], k)
+            deviation = np.abs((targets[near, 11] - expected[t - 1, 11]) - velocity[t - 1, 11])
+            kept_11.append(sum(math.erfc(d / math.sqrt(2.0 * sigma2[11])) > theta
+                               for d in deviation))
+        assert any(0 < kept < k for kept in kept_11)
+        assert np.array_equal(out, expected)
+
+
 class TestKalman:
     def test_huge_measurement_noise_tracks_prediction(self):
         state = KalmanState(
@@ -282,6 +375,28 @@ class TestKalman:
         with pytest.raises(ValueError):
             KalmanState(x=np.zeros(POSE_DIM), P=np.full(POSE_DIM, -1.0),
                         Q=np.zeros(POSE_DIM), R=np.ones(POSE_DIM))
+
+    def test_stream_equals_kalman_step_loop(self):
+        rng = np.random.default_rng(18)
+        meas = rng.normal(size=(60, POSE_DIM))
+        vel = rng.normal(scale=0.1, size=(59, POSE_DIM))
+        r = rng.uniform(1e-4, 1e-1, POSE_DIM)
+        q = rng.uniform(1e-5, 1e-2, POSE_DIM)
+        r[3] = 0.0
+        q[4] = 0.0
+        out = kalman_filter_stream(meas, vel, r, q)
+        state = KalmanState(x=meas[0], P=r, Q=q, R=r)
+        expected = [meas[0]]
+        for t in range(1, 60):
+            state, fused = kalman_step(state, vel[t - 1], meas[t])
+            expected.append(fused)
+        assert np.array_equal(out, np.stack(expected))
+
+    def test_stream_degenerate_gain_rejected(self):
+        noise = np.ones(POSE_DIM)
+        noise[9] = 0.0
+        with pytest.raises(NumericalError):
+            kalman_filter_stream(np.zeros((3, POSE_DIM)), np.zeros((2, POSE_DIM)), noise, noise)
 
     def test_control_equal_to_measurement_difference_is_identity(self):
         # feeding a filter its own measurement increments reproduces the
