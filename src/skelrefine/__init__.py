@@ -61,7 +61,6 @@ from .fusion import (
     kalman_step,
     run_pipeline,
     sknn_step,
-    sknnkf_step,
 )
 from .metrics import EvalReport, aje, aje_histogram, ape, evaluate, jerk, jerk_error
 from .optim import MinimizeResult, OptimizerSpec, minimize

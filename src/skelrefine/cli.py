@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
 
 from . import drnn, fusion, metrics, seqio, synth
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     SkelRefineError,
 )
 from .optim import OptimizerSpec
-from .skeleton import DEFAULT_TREE, velocities
+from .skeleton import DEFAULT_TREE, sequence_to_relative, velocities
 
 NETWORK_NAMES = ("pdrnn", "vdrnn", "vdrnn_plus")
 
@@ -61,6 +60,18 @@ def _section(raw: dict, name: str) -> dict:
         raise ConfigurationError(f"config missing {name!r} section")
     if not isinstance(value, dict):
         raise ConfigurationError(f"config section {name!r} must be an object")
+    return value
+
+
+def _fraction(fusion_raw: dict, key: str) -> float:
+    """A gate threshold: a finite number in [0, 1), 0.05 when absent."""
+    raw = fusion_raw.get(key, 0.05)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not 0.0 <= value < 1.0:
+        raise ConfigurationError(f"fusion {key} must be a number in [0, 1), got {raw!r}")
     return value
 
 
@@ -120,11 +131,16 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
         raise ConfigurationError(f"bad optimizer section: {exc}") from exc
 
     fusion_raw = raw.get("fusion", {})
-    knn_k = int(fusion_raw.get("k", 300))
+    if not isinstance(fusion_raw, dict):
+        raise ConfigurationError("fusion section must be an object")
+    try:
+        knn_k = int(fusion_raw.get("k", 300))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"fusion k must be an integer: {exc}") from exc
     if knn_k < 1:
         raise ConfigurationError("fusion k must be at least 1")
-    theta = float(fusion_raw.get("theta", 0.05))
-    theta_plus = float(fusion_raw.get("theta_plus", 0.05))
+    theta = _fraction(fusion_raw, "theta")
+    theta_plus = _fraction(fusion_raw, "theta_plus")
 
     variants = tuple(raw.get("variants", ["raw", "pdrnn", "sknn", "kf", "sknnkf"]))
     for variant in variants:
@@ -162,47 +178,35 @@ def _load_required_checkpoint(models_dir: Path, name: str, needed_for: str) -> d
     return drnn.load_checkpoint(path)
 
 
-def _kalman_from_validation(corpus, pdrnn_params, vdrnn_params, tree):
-    refined_val = drnn.refine_positions(pdrnn_params, corpus.validation.corrupted, tree)
-    refined_val_vel = drnn.refine_velocities(vdrnn_params, refined_val)
-    clean_val = corpus.validation.clean
-    return fusion.estimate_noise_covariances(
-        clean_val.data - refined_val.data,
-        velocities(clean_val) - refined_val_vel,
-    )
+# the pipeline stream each velocity network learns to refine
+_INPUT_STREAMS = {"vdrnn": "refined_diff", "vdrnn_plus": "states_diff"}
 
 
 def _training_streams(which: str, corpus, cfg: PipelineConfig, tree):
     """Input/target streams for one network, for train and validation splits."""
-    out = {}
+    splits = {"train": corpus.train, "validation": corpus.validation}
     if which == "pdrnn":
-        from .skeleton import sequence_to_relative
+        return {
+            name: (sequence_to_relative(pair.corrupted, tree).data,
+                   sequence_to_relative(pair.clean, tree).data)
+            for name, pair in splits.items()
+        }
 
-        for split_name, pair in (("train", corpus.train), ("validation", corpus.validation)):
-            out[split_name] = (
-                sequence_to_relative(pair.corrupted, tree).data,
-                sequence_to_relative(pair.clean, tree).data,
-            )
-        return out
-
-    pdrnn_params = _load_required_checkpoint(cfg.models_dir, "pdrnn", which)
-    if which == "vdrnn":
-        for split_name, pair in (("train", corpus.train), ("validation", corpus.validation)):
-            refined = drnn.refine_positions(pdrnn_params, pair.corrupted, tree)
-            out[split_name] = (velocities(refined), velocities(pair.clean))
-        return out
-
-    # vdrnn_plus: velocities of the Kalman state stream, which needs the
-    # fitted covariances and therefore both earlier networks
-    vdrnn_params = _load_required_checkpoint(cfg.models_dir, "vdrnn", which)
-    kalman_r, kalman_q = _kalman_from_validation(corpus, pdrnn_params, vdrnn_params, tree)
-    fusion.write_covariances(cfg.models_dir / "kalman.json", kalman_r, kalman_q)
-    for split_name, pair in (("train", corpus.train), ("validation", corpus.validation)):
-        refined = drnn.refine_positions(pdrnn_params, pair.corrupted, tree)
-        refined_vel = drnn.refine_velocities(vdrnn_params, refined)
-        states = fusion.kalman_filter_stream(refined.data, refined_vel, kalman_r, kalman_q)
-        out[split_name] = (np.diff(states, axis=0), velocities(pair.clean))
-    return out
+    # every network before this one in NETWORK_NAMES
+    nets = {name: _load_required_checkpoint(cfg.models_dir, name, which)
+            for name in NETWORK_NAMES[:NETWORK_NAMES.index(which)]}
+    models = fusion.FusionModels(tree=tree, **nets)
+    if which == "vdrnn_plus":
+        # the Kalman states need the fitted noise, which is kept beside the
+        # checkpoints
+        models = fusion.fit_fusion_models(corpus, tree, **nets, variants=("kf",))
+        fusion.write_covariances(cfg.models_dir / "kalman.json", models.kalman_r,
+                                 models.kalman_q)
+    return {
+        name: (fusion.StreamBuilder(pair.corrupted, models)[_INPUT_STREAMS[which]],
+               velocities(pair.clean))
+        for name, pair in splits.items()
+    }
 
 
 def cmd_synth(args) -> int:
@@ -274,21 +278,15 @@ def cmd_refine(args) -> int:
     seq = seqio.read_sequence(args.input)
     tree = DEFAULT_TREE
 
-    networks = {}
-    for name in fusion.required_networks(variant):
-        networks[name] = _load_required_checkpoint(cfg.models_dir, name, f"variant {variant!r}")
-    if variant == "raw":
-        models = fusion.FusionModels(tree=tree, knn_k=cfg.knn_k)
-    elif variant == "pdrnn":
-        models = fusion.FusionModels(tree=tree, knn_k=cfg.knn_k, pdrnn=networks["pdrnn"])
-    else:
+    networks = {name: _load_required_checkpoint(cfg.models_dir, name, f"variant {variant!r}")
+                for name in fusion.required_networks(variant)}
+    models = fusion.FusionModels(tree=tree, **networks)
+    if set(fusion.required_models(variant)) - set(networks):
         corpus = synth.read_corpus(cfg.corpus_dir)
         models = fusion.fit_fusion_models(
             corpus,
             tree,
-            pdrnn=networks.get("pdrnn"),
-            vdrnn=networks.get("vdrnn"),
-            vdrnn_plus=networks.get("vdrnn_plus"),
+            **networks,
             k=cfg.knn_k,
             theta=cfg.theta,
             theta_plus=cfg.theta_plus,

@@ -16,7 +16,7 @@ the training horizon.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -412,11 +412,6 @@ class TrainResult:
     converged: bool
     message: str
 
-    def train_mse(self) -> list[float]:
-        return [v / self._train_size for v in self.train_losses]
-
-    _train_size: int = field(default=1, repr=False)
-
 
 def train(
     config: DrnnConfig,
@@ -454,7 +449,7 @@ def train(
         validation_losses.append(loss_value(unpack_params(config, vec), validation_set))
 
     result = optim.minimize(objective, x0, spec, callback=record)
-    out = TrainResult(
+    return TrainResult(
         params=unpack_params(config, result.x),
         train_losses=train_losses,
         validation_losses=validation_losses,
@@ -462,8 +457,6 @@ def train(
         converged=result.converged,
         message=result.message,
     )
-    out._train_size = train_set.targets.size
-    return out
 
 
 def refine_positions(params: DrnnParams, seq: SkeletonSequence,

@@ -17,7 +17,12 @@ Three integration methods plus ablation variants:
   velocity check uses a network trained on Kalman-state velocities.
 
 run_pipeline() exposes these plus the raw/position-only baselines and the
-ablations that drop one refinement stage at a time.
+ablations that drop one refinement stage at a time. The VARIANTS table is
+the one place this wiring lives: each row names its query (or measurement)
+stream, its velocity stream, its store, its gate or noise, and its anchor,
+by the names of STREAMS and of FusionModels attributes. run_pipeline and
+fit_fusion_models read the table, and a StreamBuilder computes each stream
+of a sequence at most once.
 
 Cost. The neighbor search is exact but does not sort the whole store per
 query: one BLAS mat-vec gives every key's squared distance through the
@@ -40,8 +45,14 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from . import drnn, seqio
-from .errors import ConfigurationError, NumericalError
+from . import drnn
+from .errors import (
+    ConfigurationError,
+    DataError,
+    EncodingError,
+    InsufficientFramesError,
+    NumericalError,
+)
 from .skeleton import (
     POSE_DIM,
     Encoding,
@@ -51,18 +62,6 @@ from .skeleton import (
 )
 
 VARIANCE_FLOOR = 1e-12
-
-PIPELINE_VARIANTS = (
-    "raw",
-    "pdrnn",
-    "sknn",
-    "kf",
-    "sknnkf",
-    "sknn_minus_pdrnn",
-    "sknn_minus_vdrnn",
-    "naive_sknn",
-    "kf_minus_pdrnn",
-)
 
 
 @dataclass(frozen=True)
@@ -264,11 +263,6 @@ def sknn_step(store: NeighborStore, gate: GateModel, query, velocity, prev) -> n
     return out
 
 
-# The chained method runs the identical algorithm over a store keyed by
-# Kalman states, with its own gate; only the parameterization differs.
-sknnkf_step = sknn_step
-
-
 @dataclass(frozen=True)
 class KalmanState:
     """Per-component scalar filter state: estimate plus diagonal covariances."""
@@ -283,8 +277,8 @@ class KalmanState:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (POSE_DIM,):
                 raise ValueError(f"{name} must have shape ({POSE_DIM},), got {arr.shape}")
-            if name != "x" and np.any(arr < 0.0):
-                raise ValueError(f"{name} must be non-negative elementwise")
+            if name != "x" and not (np.all(np.isfinite(arr)) and np.all(arr >= 0.0)):
+                raise ValueError(f"{name} must be finite and non-negative elementwise")
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -365,10 +359,10 @@ def _residual_variance(residuals, what: str) -> np.ndarray:
 
 @dataclass
 class FusionModels:
-    """Everything run_pipeline may need; variants check their own subset."""
+    """Everything run_pipeline may need; each variant reads the subset that
+    required_models names."""
 
     tree: KinematicTree
-    knn_k: int = 300
     pdrnn: drnn.DrnnParams | None = None
     vdrnn: drnn.DrnnParams | None = None
     vdrnn_plus: drnn.DrnnParams | None = None
@@ -385,35 +379,122 @@ class FusionModels:
     kalman_q_raw: np.ndarray | None = None
 
 
-_VARIANT_NEEDS: dict[str, tuple[str, ...]] = {
-    "raw": (),
-    "pdrnn": ("pdrnn",),
-    "sknn": ("pdrnn", "vdrnn", "store", "gate"),
-    "naive_sknn": ("pdrnn", "vdrnn", "store", "gate"),
-    "sknn_minus_vdrnn": ("pdrnn", "store", "gate_unrefined_velocity"),
-    "sknn_minus_pdrnn": ("vdrnn", "store_raw", "gate_raw"),
-    "kf": ("pdrnn", "vdrnn", "kalman_r", "kalman_q"),
-    "kf_minus_pdrnn": ("vdrnn", "kalman_r_raw", "kalman_q_raw"),
-    "sknnkf": (
-        "pdrnn", "vdrnn", "vdrnn_plus", "kalman_r", "kalman_q", "store_plus", "gate_plus",
-    ),
+# Streams derived from one absolute sequence, whose own positions are "raw":
+# name -> (operation, FusionModels attributes it reads, streams it reads).
+# "<x>_diff" is the finite-difference velocity of x, "<x>_vel" that velocity
+# refined by a network.
+STREAMS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+    "refined": ("refine_positions", ("pdrnn",), ()),
+    "refined_diff": ("difference", (), ("refined",)),
+    "refined_vel": ("run_stream", ("vdrnn",), ("refined_diff",)),
+    "raw_diff": ("difference", (), ("raw",)),
+    "raw_vel": ("run_stream", ("vdrnn",), ("raw_diff",)),
+    "states": ("kalman_filter_stream", ("kalman_r", "kalman_q"), ("refined", "refined_vel")),
+    "states_diff": ("difference", (), ("states",)),
+    "states_vel": ("run_stream", ("vdrnn_plus",), ("states_diff",)),
 }
+
+
+class StreamBuilder:
+    """The STREAMS of one absolute sequence, each computed at most once.
+
+    Models are read when a stream is first asked for, so a fit can add the
+    Kalman noise before it asks for the states.
+    """
+
+    def __init__(self, seq: SkeletonSequence, models: FusionModels):
+        self._seq = seq
+        self._models = models
+        self._streams = {"raw": seq.data}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._streams:
+            operation, model_names, sources = STREAMS[name]
+            params = [getattr(self._models, m) for m in model_names]
+            inputs = [self[s] for s in sources]
+            if operation == "refine_positions":
+                value = drnn.refine_positions(params[0], self._seq, self._models.tree).data
+            elif operation == "difference":
+                if inputs[0].shape[0] < 2:
+                    raise InsufficientFramesError("velocities needs at least 2 frames")
+                value = np.diff(inputs[0], axis=0)
+            elif operation == "run_stream":
+                value = drnn.run_stream(params[0], inputs[0])
+            else:
+                value = kalman_filter_stream(*inputs, *params)
+            self._streams[name] = value
+        return self._streams[name]
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One pipeline variant: each field names a stream or a FusionModels
+    attribute. With a store the variant runs the gated KNN, with noise the
+    Kalman filter; with neither its output is the query stream."""
+
+    query: str  # KNN query or Kalman measurement stream
+    velocity: str | None = None  # the gate's velocity or the filter's control
+    store: str | None = None
+    gate: str | None = None
+    theta: str = "theta"  # the fit_fusion_models argument the gate takes
+    noise: tuple[str, str] | None = None  # (R, Q)
+    noise_velocity: str | None = None  # the stream Q is fitted on
+    anchor_on_query: bool = False  # see _sknn_track
+
+
+# The one place the pipeline is wired. A store, gate or noise is fitted from
+# the first row that names it, so rows sharing one must agree on its streams.
+VARIANTS: dict[str, Variant] = {
+    "raw": Variant("raw"),
+    "pdrnn": Variant("refined"),
+    "sknn": Variant("refined", "refined_vel", store="store", gate="gate"),
+    "kf": Variant("refined", "refined_vel", noise=("kalman_r", "kalman_q"),
+                  noise_velocity="refined_vel"),
+    "sknnkf": Variant("states", "states_vel", store="store_plus", gate="gate_plus",
+                      theta="theta_plus"),
+    "sknn_minus_pdrnn": Variant("raw", "raw_vel", store="store_raw", gate="gate_raw"),
+    "sknn_minus_vdrnn": Variant("refined", "refined_diff", store="store",
+                                gate="gate_unrefined_velocity"),
+    "naive_sknn": Variant("refined", "refined_vel", store="store", gate="gate",
+                          anchor_on_query=True),
+    # Q is fitted on the unrefined velocities, while the filter's control is
+    # the vdrnn-refined one
+    "kf_minus_pdrnn": Variant("raw", "raw_vel", noise=("kalman_r_raw", "kalman_q_raw"),
+                              noise_velocity="raw_diff"),
+}
+
+PIPELINE_VARIANTS = tuple(VARIANTS)
+_NETWORKS = ("pdrnn", "vdrnn", "vdrnn_plus")
+
+
+def _variant(name: str) -> Variant:
+    if name not in VARIANTS:
+        raise ConfigurationError(f"unknown pipeline variant {name!r}")
+    return VARIANTS[name]
+
+
+def _stream_needs(name: str) -> list[str]:
+    if name == "raw":
+        return []
+    _, model_names, sources = STREAMS[name]
+    return [m for source in sources for m in _stream_needs(source)] + list(model_names)
+
+
+def required_models(variant: str) -> tuple[str, ...]:
+    """The FusionModels attributes a variant reads, each after the ones it
+    is fitted from."""
+    spec = _variant(variant)
+    names = _stream_needs(spec.query)
+    if spec.velocity is not None:
+        names += _stream_needs(spec.velocity)
+    names += [spec.store, spec.gate, *(spec.noise or ())]
+    return tuple(dict.fromkeys(n for n in names if n is not None))
 
 
 def required_networks(variant: str) -> tuple[str, ...]:
     """Which trained networks a variant needs loaded."""
-    if variant not in _VARIANT_NEEDS:
-        raise ConfigurationError(f"unknown pipeline variant {variant!r}")
-    nets = ("pdrnn", "vdrnn", "vdrnn_plus")
-    return tuple(n for n in _VARIANT_NEEDS[variant] if n in nets)
-
-
-def _require(models: FusionModels, variant: str) -> None:
-    missing = [name for name in _VARIANT_NEEDS[variant] if getattr(models, name) is None]
-    if missing:
-        raise ConfigurationError(
-            f"variant {variant!r} is missing models: {', '.join(missing)}"
-        )
+    needs = required_models(variant)
+    return tuple(n for n in _NETWORKS if n in needs)
 
 
 def _sknn_track(query_data: np.ndarray, velocity_stream: np.ndarray,
@@ -454,72 +535,30 @@ def _fit_track_gate(store: NeighborStore, query_val: np.ndarray, velocity_val: n
     return estimate_gate((clean_val[1:] - out[:-1]) - velocity_val, theta)
 
 
-def _run_sknnkf(seq: SkeletonSequence, models: FusionModels) -> np.ndarray:
-    refined = drnn.refine_positions(models.pdrnn, seq, models.tree)
-    refined_vel = drnn.refine_velocities(models.vdrnn, refined)
-    states = kalman_filter_stream(
-        refined.data, refined_vel, models.kalman_r, models.kalman_q
-    )
-    state_vel = drnn.run_stream(models.vdrnn_plus, np.diff(states, axis=0))
-    return _sknn_track(states, state_vel, models.store_plus, models.gate_plus)
-
-
 def run_pipeline(variant: str, seq: SkeletonSequence, models: FusionModels) -> SkeletonSequence:
-    """Refine an absolute sequence with the named method.
+    """Refine an absolute sequence with the named method of VARIANTS.
 
     Variants: raw (pass-through), pdrnn (position network only), sknn, kf,
     sknnkf, and the ablations sknn_minus_pdrnn, sknn_minus_vdrnn,
-    naive_sknn, kf_minus_pdrnn. Missing models raise ConfigurationError.
-    Deterministic: identical inputs and models give identical outputs.
+    naive_sknn, kf_minus_pdrnn. Missing models raise ConfigurationError, a
+    sequence in another encoding EncodingError. Deterministic: identical
+    inputs and models give identical outputs.
     """
-    if variant not in _VARIANT_NEEDS:
-        raise ConfigurationError(f"unknown pipeline variant {variant!r}")
+    spec = _variant(variant)
     if seq.encoding is not Encoding.ABSOLUTE:
-        raise ConfigurationError("run_pipeline expects an absolute sequence")
-    _require(models, variant)
-
-    if variant == "raw":
-        return seq.with_data(seq.data.copy())
-
-    if variant == "pdrnn":
-        return drnn.refine_positions(models.pdrnn, seq, models.tree)
-
-    if variant in ("sknn", "naive_sknn"):
-        refined = drnn.refine_positions(models.pdrnn, seq, models.tree)
-        refined_vel = drnn.refine_velocities(models.vdrnn, refined)
-        fused = _sknn_track(
-            refined.data, refined_vel, models.store, models.gate,
-            anchor_on_query=(variant == "naive_sknn"),
-        )
-        return seq.with_data(fused)
-
-    if variant == "sknn_minus_vdrnn":
-        refined = drnn.refine_positions(models.pdrnn, seq, models.tree)
-        fused = _sknn_track(
-            refined.data, velocities(refined), models.store,
-            models.gate_unrefined_velocity,
-        )
-        return seq.with_data(fused)
-
-    if variant == "sknn_minus_pdrnn":
-        refined_vel = drnn.run_stream(models.vdrnn, velocities(seq))
-        fused = _sknn_track(seq.data, refined_vel, models.store_raw, models.gate_raw)
-        return seq.with_data(fused)
-
-    if variant == "kf":
-        refined = drnn.refine_positions(models.pdrnn, seq, models.tree)
-        refined_vel = drnn.refine_velocities(models.vdrnn, refined)
-        return seq.with_data(
-            kalman_filter_stream(refined.data, refined_vel, models.kalman_r, models.kalman_q)
-        )
-
-    if variant == "kf_minus_pdrnn":
-        refined_vel = drnn.run_stream(models.vdrnn, velocities(seq))
-        return seq.with_data(
-            kalman_filter_stream(seq.data, refined_vel, models.kalman_r_raw, models.kalman_q_raw)
-        )
-
-    return seq.with_data(_run_sknnkf(seq, models))
+        raise EncodingError("run_pipeline expects an absolute sequence")
+    missing = [name for name in required_models(variant) if getattr(models, name) is None]
+    if missing:
+        raise ConfigurationError(f"variant {variant!r} is missing models: {', '.join(missing)}")
+    streams = StreamBuilder(seq, models)
+    fused = streams[spec.query]
+    if spec.store is not None:
+        fused = _sknn_track(fused, streams[spec.velocity], getattr(models, spec.store),
+                            getattr(models, spec.gate), spec.anchor_on_query)
+    elif spec.noise is not None:
+        fused = kalman_filter_stream(fused, streams[spec.velocity],
+                                     *(getattr(models, n) for n in spec.noise))
+    return seq.with_data(fused)
 
 
 def fit_fusion_models(
@@ -533,82 +572,42 @@ def fit_fusion_models(
     theta_plus: float = 0.05,
     variants: tuple[str, ...] = ("sknn", "kf", "sknnkf"),
 ) -> FusionModels:
-    """Build stores, gates and noise diagonals for the requested variants.
+    """Build the stores, gates and noise diagonals the requested variants name.
 
-    Stores come from the training split; gates and covariances are fitted on
-    validation residuals, each gate on the implied-velocity deviations of a
-    validation run of its own recursion (_fit_track_gate). Only artifacts
-    some requested variant needs are computed, and the networks each variant
-    relies on must be supplied.
+    Stores are keyed by a train-split stream; gates and covariances are
+    fitted on validation residuals, each gate on the implied-velocity
+    deviations of a validation run of its own recursion (_fit_track_gate).
+    Each is fitted from the first VARIANTS row that names it, in the order
+    of required_models, so the Kalman noise comes before the states' store
+    and gate. The networks the variants rely on must be supplied.
     """
-    for variant in variants:
-        if variant not in _VARIANT_NEEDS:
-            raise ConfigurationError(f"unknown pipeline variant {variant!r}")
-    want: set[str] = set()
-    for variant in variants:
-        want.update(_VARIANT_NEEDS[variant])
-    provided = {"pdrnn": pdrnn, "vdrnn": vdrnn, "vdrnn_plus": vdrnn_plus}
-    for net, params in provided.items():
-        if net in want and params is None:
+    want = dict.fromkeys(name for v in variants for name in required_models(v))
+    models = FusionModels(tree=tree, pdrnn=pdrnn, vdrnn=vdrnn, vdrnn_plus=vdrnn_plus)
+    for net in _NETWORKS:
+        if net in want and getattr(models, net) is None:
             raise ConfigurationError(f"requested variants need the {net} network")
 
-    models = FusionModels(
-        tree=tree, knn_k=k, pdrnn=pdrnn, vdrnn=vdrnn, vdrnn_plus=vdrnn_plus
-    )
-    corrupt_train, clean_train = corpus.train.corrupted, corpus.train.clean
-    corrupt_val, clean_val = corpus.validation.corrupted, corpus.validation.clean
-    clean_val_vel = velocities(clean_val)
-
-    refined_train = refined_val = None
-    refined_train_vel = refined_val_vel = None
-    if want & {"store", "gate", "gate_unrefined_velocity", "kalman_r", "store_plus"}:
-        refined_train = drnn.refine_positions(pdrnn, corrupt_train, tree)
-        refined_val = drnn.refine_positions(pdrnn, corrupt_val, tree)
-    if want & {"gate", "kalman_r", "store_plus"}:
-        refined_train_vel = drnn.refine_velocities(vdrnn, refined_train)
-        refined_val_vel = drnn.refine_velocities(vdrnn, refined_val)
-
-    if "store" in want:
-        models.store = NeighborStore(refined_train.data, clean_train.data, k)
-    if "gate" in want:
-        models.gate = _fit_track_gate(
-            models.store, refined_val.data, refined_val_vel, clean_val.data, theta
-        )
-    if "gate_unrefined_velocity" in want:
-        models.gate_unrefined_velocity = _fit_track_gate(
-            models.store, refined_val.data, velocities(refined_val), clean_val.data, theta
-        )
-    if want & {"kalman_r", "kalman_q"}:
-        models.kalman_r, models.kalman_q = estimate_noise_covariances(
-            clean_val.data - refined_val.data, clean_val_vel - refined_val_vel
-        )
-
-    if want & {"store_raw", "gate_raw", "kalman_r_raw"}:
-        raw_val_vel_refined = drnn.run_stream(vdrnn, velocities(corrupt_val))
-        if "store_raw" in want:
-            models.store_raw = NeighborStore(corrupt_train.data, clean_train.data, k)
-        if "gate_raw" in want:
-            models.gate_raw = _fit_track_gate(
-                models.store_raw, corrupt_val.data, raw_val_vel_refined, clean_val.data, theta
+    train = StreamBuilder(corpus.train.corrupted, models)
+    val = StreamBuilder(corpus.validation.corrupted, models)
+    clean_train, clean_val = corpus.train.clean.data, corpus.validation.clean.data
+    thetas = {"theta": theta, "theta_plus": theta_plus}
+    for name in want:
+        if getattr(models, name) is not None:
+            continue  # a network, or a Q fitted with its R
+        spec = next(s for s in VARIANTS.values() if name in (s.store, s.gate, *(s.noise or ())))
+        if name == spec.store:
+            setattr(models, name, NeighborStore(train[spec.query], clean_train, k))
+        elif name == spec.gate:
+            setattr(models, name, _fit_track_gate(
+                getattr(models, spec.store), val[spec.query], val[spec.velocity], clean_val,
+                thetas[spec.theta]))
+        else:
+            noise = estimate_noise_covariances(
+                clean_val - val[spec.query],
+                velocities(corpus.validation.clean) - val[spec.noise_velocity],
             )
-        if want & {"kalman_r_raw", "kalman_q_raw"}:
-            models.kalman_r_raw, models.kalman_q_raw = estimate_noise_covariances(
-                clean_val.data - corrupt_val.data, clean_val_vel - velocities(corrupt_val)
-            )
-
-    if want & {"store_plus", "gate_plus"}:
-        states_train = kalman_filter_stream(
-            refined_train.data, refined_train_vel, models.kalman_r, models.kalman_q
-        )
-        states_val = kalman_filter_stream(
-            refined_val.data, refined_val_vel, models.kalman_r, models.kalman_q
-        )
-        state_val_vel = drnn.run_stream(vdrnn_plus, np.diff(states_val, axis=0))
-        models.store_plus = NeighborStore(states_train, clean_train.data, k)
-        models.gate_plus = _fit_track_gate(
-            models.store_plus, states_val, state_val_vel, clean_val.data, theta_plus
-        )
-
+            for attr, value in zip(spec.noise, noise):
+                setattr(models, attr, value)
     return models
 
 
@@ -616,9 +615,36 @@ def write_gate(path, gate: GateModel) -> None:
     Path(path).write_text(json.dumps(gate.to_json_dict()), encoding="utf-8")
 
 
+def _read_object(path, keys: tuple[str, ...]) -> dict:
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise DataError(f"{path} must be a JSON object with keys {', '.join(keys)}")
+    return data
+
+
+def _diagonal(path, data: dict, key: str) -> np.ndarray:
+    """data[key] as a finite, non-negative (48,) array."""
+    try:
+        arr = np.asarray(data[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {key} must be a list of numbers") from exc
+    if arr.shape != (POSE_DIM,):
+        raise DataError(f"{path}: {key} must have shape ({POSE_DIM},), got {arr.shape}")
+    if not (np.all(np.isfinite(arr)) and np.all(arr >= 0.0)):
+        raise DataError(f"{path}: {key} must be finite and non-negative")
+    return arr
+
+
 def read_gate(path) -> GateModel:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return GateModel.from_json_dict(data)
+    data = _read_object(path, ("sigma2", "theta"))
+    try:
+        return GateModel.from_json_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_covariances(path, measurement_noise, process_noise) -> None:
@@ -630,25 +656,5 @@ def write_covariances(path, measurement_noise, process_noise) -> None:
 
 
 def read_covariances(path) -> tuple[np.ndarray, np.ndarray]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return (
-        np.asarray(data["R"], dtype=np.float64),
-        np.asarray(data["Q"], dtype=np.float64),
-    )
-
-
-def write_store(keys_path, targets_path, store: NeighborStore,
-                frame_rate_hz: float = 30.0) -> None:
-    """Serialize a store as a pair of sequence files (keys, targets)."""
-    seqio.write_sequence(
-        keys_path, SkeletonSequence(store.keys, Encoding.ABSOLUTE, frame_rate_hz)
-    )
-    seqio.write_sequence(
-        targets_path, SkeletonSequence(store.targets, Encoding.ABSOLUTE, frame_rate_hz)
-    )
-
-
-def read_store(keys_path, targets_path, k: int = 300) -> NeighborStore:
-    keys = seqio.read_sequence(keys_path)
-    targets = seqio.read_sequence(targets_path)
-    return NeighborStore(keys.data, targets.data, k)
+    data = _read_object(path, ("R", "Q"))
+    return _diagonal(path, data, "R"), _diagonal(path, data, "Q")

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from skelrefine import drnn, metrics, seqio
+from skelrefine import drnn, fusion, metrics, seqio, synth
 from skelrefine.cli import main
+from skelrefine.skeleton import DEFAULT_TREE, POSE_DIM, Encoding, SkeletonSequence
 
 TOY_CONFIG = {
     "paths": {"corpus": "corpus", "models": "models", "outputs": "out"},
@@ -54,6 +55,24 @@ class TestSynthCommand:
         path = tmp_path / "empty.json"
         path.write_text("{}")
         assert run("synth", "--config", path) == 1
+
+    @pytest.mark.parametrize("key,value", [
+        ("theta", 1.5), ("theta", 1.0), ("theta_plus", -0.1), ("theta", float("nan")),
+        ("theta_plus", float("inf")), ("theta", "x"), ("theta", None), ("k", "x"), ("k", 0),
+    ])
+    def test_bad_fusion_value_is_one_line_usage_error(
+        self, tmp_path, capsys, key, value
+    ):
+        config = json.loads(json.dumps(TOY_CONFIG))
+        config["fusion"][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = run("refine", "--config", path, "--variant", "sknn",
+                   "--input", tmp_path / "input.jsonl")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
 
     def test_missing_subcommand_is_usage_error(self):
         assert run() == 1
@@ -143,6 +162,27 @@ class TestRefineAndEval:
         b = seqio.read_sequence(out)
         assert np.array_equal(a.data, b.data)
         assert a.frame_rate_hz == b.frame_rate_hz
+
+    def test_relative_input_is_one_line_data_error(self, workspace, capsys):
+        tmp_path, config = workspace
+        source = tmp_path / "relative.jsonl"
+        seqio.write_sequence(source, SkeletonSequence(np.zeros((5, POSE_DIM)),
+                                                      Encoding.RELATIVE))
+        code = run("refine", "--config", config, "--variant", "raw", "--input", source)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_vdrnn_plus_writes_the_kf_noise_fit(self, trained):
+        tmp_path, _ = trained
+        models = tmp_path / "models"
+        fitted = fusion.fit_fusion_models(
+            synth.read_corpus(tmp_path / "corpus"), DEFAULT_TREE,
+            pdrnn=drnn.load_checkpoint(models / "pdrnn.json"),
+            vdrnn=drnn.load_checkpoint(models / "vdrnn.json"), variants=("kf",),
+        )
+        fusion.write_covariances(tmp_path / "expected.json", fitted.kalman_r, fitted.kalman_q)
+        assert (models / "kalman.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
     def test_refine_missing_checkpoint_names_stage(self, workspace, capsys):
         tmp_path, config = workspace

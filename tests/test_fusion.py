@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelrefine import drnn
-from skelrefine.errors import ConfigurationError, NumericalError
+from skelrefine.errors import ConfigurationError, DataError, EncodingError, NumericalError
 from skelrefine.fusion import (
     _sknn_track,
     FusionModels,
@@ -24,14 +25,12 @@ from skelrefine.fusion import (
     nearest_indices,
     read_covariances,
     read_gate,
-    read_store,
+    required_models,
     required_networks,
     run_pipeline,
     sknn_step,
-    sknnkf_step,
     write_covariances,
     write_gate,
-    write_store,
 )
 from skelrefine.skeleton import DEFAULT_TREE, POSE_DIM, Encoding, SkeletonSequence, velocities
 from skelrefine.synth import (
@@ -204,9 +203,6 @@ class TestSknnStep:
         assert np.allclose(out, consistent.mean(axis=0), rtol=0, atol=1e-12)
         assert np.all(np.abs(out - targets.mean(axis=0)) > 1e-3)
 
-    def test_sknnkf_step_is_shared_implementation(self):
-        assert sknnkf_step is sknn_step
-
 
 def brute_force_nearest(keys, query, k):
     """Independent reference: full (distance, index) sort."""
@@ -376,6 +372,21 @@ class TestKalman:
             KalmanState(x=np.zeros(POSE_DIM), P=np.full(POSE_DIM, -1.0),
                         Q=np.zeros(POSE_DIM), R=np.ones(POSE_DIM))
 
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["P", "Q", "R"])
+    def test_non_finite_covariance_rejected(self, name, bad_value):
+        noise = {key: np.ones(POSE_DIM) for key in ("P", "Q", "R")}
+        noise[name][3] = bad_value
+        with pytest.raises(ValueError):
+            KalmanState(x=np.zeros(POSE_DIM), **noise)
+
+    def test_stream_with_nan_noise_rejected(self):
+        r = np.ones(POSE_DIM)
+        r[3] = np.nan
+        with pytest.raises(ValueError):
+            kalman_filter_stream(np.zeros((3, POSE_DIM)), np.zeros((2, POSE_DIM)), r,
+                                 np.ones(POSE_DIM))
+
     def test_stream_equals_kalman_step_loop(self):
         rng = np.random.default_rng(18)
         meas = rng.normal(size=(60, POSE_DIM))
@@ -431,6 +442,44 @@ class TestNoiseCovariances:
         )
         assert r.shape == (POSE_DIM,)
         assert q.shape == (POSE_DIM,)
+
+
+def explicit_composition(variant, seq, models):
+    """A variant's output wired by hand from drnn.refine_positions,
+    drnn.run_stream, kalman_filter_stream and sknn_step loops."""
+
+    def track(query, velocity, store, gate, anchor_on_query=False):
+        out = np.empty_like(query)
+        out[0] = query[0]
+        for t in range(1, len(query)):
+            anchor = query[t - 1] if anchor_on_query else out[t - 1]
+            out[t] = sknn_step(store, gate, query[t], velocity[t - 1], anchor)
+        return out
+
+    raw = seq.data
+    if variant == "raw":
+        return raw
+    if variant in ("sknn_minus_pdrnn", "kf_minus_pdrnn"):
+        raw_vel = drnn.run_stream(models.vdrnn, np.diff(raw, axis=0))
+        if variant == "kf_minus_pdrnn":
+            return kalman_filter_stream(raw, raw_vel, models.kalman_r_raw, models.kalman_q_raw)
+        return track(raw, raw_vel, models.store_raw, models.gate_raw)
+    refined = drnn.refine_positions(models.pdrnn, seq, models.tree).data
+    if variant == "pdrnn":
+        return refined
+    if variant == "sknn_minus_vdrnn":
+        return track(refined, np.diff(refined, axis=0), models.store,
+                     models.gate_unrefined_velocity)
+    refined_vel = drnn.run_stream(models.vdrnn, np.diff(refined, axis=0))
+    if variant in ("sknn", "naive_sknn"):
+        return track(refined, refined_vel, models.store, models.gate,
+                     anchor_on_query=(variant == "naive_sknn"))
+    states = kalman_filter_stream(refined, refined_vel, models.kalman_r, models.kalman_q)
+    if variant == "kf":
+        return states
+    assert variant == "sknnkf"
+    state_vel = drnn.run_stream(models.vdrnn_plus, np.diff(states, axis=0))
+    return track(states, state_vel, models.store_plus, models.gate_plus)
 
 
 def tiny_trained_models(variants=("sknn", "kf", "sknnkf"), n_frames=260, iters=12):
@@ -527,8 +576,8 @@ class TestPipeline:
         expected = np.empty_like(states)
         expected[0] = states[0]
         for t in range(1, states.shape[0]):
-            expected[t] = sknnkf_step(models.store_plus, models.gate_plus,
-                                      states[t], state_vel[t - 1], expected[t - 1])
+            expected[t] = sknn_step(models.store_plus, models.gate_plus,
+                                    states[t], state_vel[t - 1], expected[t - 1])
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
     def test_sknn_uses_previous_fused_output_but_naive_uses_refined(self, pipeline_setup):
@@ -544,6 +593,48 @@ class TestPipeline:
         # frame 0 passes through identically for both
         assert np.array_equal(fused.data[0], refined.data[0])
         assert np.array_equal(naive.data[0], refined.data[0])
+
+    def test_relative_sequence_is_encoding_error(self, pipeline_setup):
+        _, models = pipeline_setup
+        seq = SkeletonSequence(np.zeros((5, POSE_DIM)), Encoding.RELATIVE)
+        with pytest.raises(EncodingError):
+            run_pipeline("raw", seq, models)
+
+    @pytest.mark.parametrize("variant", PIPELINE_VARIANTS)
+    def test_variant_equals_explicit_composition(self, pipeline_setup, variant):
+        corpus, models = pipeline_setup
+        seq = corpus.test.corrupted
+        out = run_pipeline(variant, seq, models)
+        assert np.array_equal(out.data, explicit_composition(variant, seq, models))
+
+    @pytest.mark.parametrize("variant", PIPELINE_VARIANTS)
+    def test_single_variant_fit_matches_fit_of_all(self, pipeline_setup, variant):
+        # a gate, store or noise shared by several variants (naive_sknn and
+        # sknn share gate) is the same whichever variant asks for it
+        corpus, full = pipeline_setup
+        one = fit_fusion_models(corpus, DEFAULT_TREE, pdrnn=full.pdrnn, vdrnn=full.vdrnn,
+                                vdrnn_plus=full.vdrnn_plus, k=25, variants=(variant,))
+        fitted = ("store", "store_plus", "store_raw", "gate", "gate_plus", "gate_raw",
+                  "gate_unrefined_velocity", "kalman_r", "kalman_q", "kalman_r_raw",
+                  "kalman_q_raw")
+        for name in fitted:
+            mine, reference = getattr(one, name), getattr(full, name)
+            if name not in required_models(variant):
+                assert mine is None, name
+            elif name.startswith("gate"):
+                assert np.array_equal(mine.sigma2, reference.sigma2), name
+                assert mine.theta == reference.theta
+            elif name.startswith("store"):
+                assert np.array_equal(mine.keys, reference.keys), name
+                assert np.array_equal(mine.targets, reference.targets), name
+            else:
+                assert np.array_equal(mine, reference), name
+
+    def test_required_models_of_the_shared_gate_and_the_chain(self):
+        assert required_models("naive_sknn") == required_models("sknn") == (
+            "pdrnn", "vdrnn", "store", "gate")
+        assert required_models("sknnkf") == (
+            "pdrnn", "vdrnn", "kalman_r", "kalman_q", "vdrnn_plus", "store_plus", "gate_plus")
 
     def test_required_networks_map(self):
         assert required_networks("raw") == ()
@@ -579,11 +670,28 @@ class TestSerialization:
         assert np.array_equal(r, r2)
         assert np.array_equal(q, q2)
 
-    def test_store_round_trip_as_paired_sequence_files(self, tmp_path):
-        rng = np.random.default_rng(14)
-        store = NeighborStore(rng.normal(size=(20, POSE_DIM)),
-                              rng.normal(size=(20, POSE_DIM)), k=5)
-        write_store(tmp_path / "keys.jsonl", tmp_path / "targets.jsonl", store)
-        back = read_store(tmp_path / "keys.jsonl", tmp_path / "targets.jsonl", k=5)
-        assert np.array_equal(back.keys, store.keys)
-        assert np.array_equal(back.targets, store.targets)
+    @pytest.mark.parametrize("payload", [
+        "not json", [], "x", {}, {"R": [1.0] * POSE_DIM}, {"R": [1, 2], "Q": [1, 2]},
+        {"R": [[1.0]] * POSE_DIM, "Q": [1.0] * POSE_DIM},
+        {"R": ["a"] * POSE_DIM, "Q": [1.0] * POSE_DIM},
+        {"R": [float("nan")] * POSE_DIM, "Q": [1.0] * POSE_DIM},
+        {"R": [1.0] * POSE_DIM, "Q": [-1.0] * POSE_DIM},
+    ])
+    def test_malformed_covariances_are_data_errors(self, tmp_path, payload):
+        path = tmp_path / "cov.json"
+        path.write_text(payload if payload == "not json" else json.dumps(payload))
+        with pytest.raises(DataError):
+            read_covariances(path)
+
+    @pytest.mark.parametrize("payload", [
+        "not json", [], "x", {}, {"sigma2": [1e-4] * POSE_DIM},
+        {"sigma2": [1e-4, 1e-4], "theta": 0.05},
+        {"sigma2": [0.0] * POSE_DIM, "theta": 0.05},
+        {"sigma2": [1e-4] * POSE_DIM, "theta": 1.5},
+        {"sigma2": [1e-4] * POSE_DIM, "theta": "x"},
+    ])
+    def test_malformed_gates_are_data_errors(self, tmp_path, payload):
+        path = tmp_path / "gate.json"
+        path.write_text(payload if payload == "not json" else json.dumps(payload))
+        with pytest.raises(DataError):
+            read_gate(path)
