@@ -43,7 +43,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import drnn
 from .errors import (
@@ -87,6 +86,10 @@ class GateModel:
         sigma2 = sigma2.copy()
         sigma2.setflags(write=False)
         object.__setattr__(self, "sigma2", sigma2)
+        # scipy loads only where a gate is built, which keeps it out of the
+        # commands that need none
+        from scipy import special
+
         thresholds = np.sqrt(2.0 * sigma2) * special.erfcinv(self.theta)
         thresholds.setflags(write=False)
         object.__setattr__(self, "_thresholds", thresholds)
@@ -96,6 +99,8 @@ class GateModel:
         return np.asarray(deviation, dtype=np.float64) < self._thresholds
 
     def tail_probability(self, deviation) -> np.ndarray:
+        from scipy import special
+
         d = np.asarray(deviation, dtype=np.float64)
         return special.erfc(d / np.sqrt(2.0 * self.sigma2))
 
@@ -579,7 +584,9 @@ def fit_fusion_models(
     deviations of a validation run of its own recursion (_fit_track_gate).
     Each is fitted from the first VARIANTS row that names it, in the order
     of required_models, so the Kalman noise comes before the states' store
-    and gate. The networks the variants rely on must be supplied.
+    and gate. The networks the variants rely on must be supplied. The train
+    split is used only when a store is fitted, so a noise-only fit (kf)
+    leaves a lazily read corpus's train files unread.
     """
     want = dict.fromkeys(name for v in variants for name in required_models(v))
     models = FusionModels(tree=tree, pdrnn=pdrnn, vdrnn=vdrnn, vdrnn_plus=vdrnn_plus)
@@ -587,16 +594,18 @@ def fit_fusion_models(
         if net in want and getattr(models, net) is None:
             raise ConfigurationError(f"requested variants need the {net} network")
 
-    train = StreamBuilder(corpus.train.corrupted, models)
+    train = None  # built at the first store
     val = StreamBuilder(corpus.validation.corrupted, models)
-    clean_train, clean_val = corpus.train.clean.data, corpus.validation.clean.data
+    clean_val = corpus.validation.clean.data
     thetas = {"theta": theta, "theta_plus": theta_plus}
     for name in want:
         if getattr(models, name) is not None:
             continue  # a network, or a Q fitted with its R
         spec = next(s for s in VARIANTS.values() if name in (s.store, s.gate, *(s.noise or ())))
         if name == spec.store:
-            setattr(models, name, NeighborStore(train[spec.query], clean_train, k))
+            if train is None:
+                train = StreamBuilder(corpus.train.corrupted, models)
+            setattr(models, name, NeighborStore(train[spec.query], corpus.train.clean.data, k))
         elif name == spec.gate:
             setattr(models, name, _fit_track_gate(
                 getattr(models, spec.store), val[spec.query], val[spec.velocity], clean_val,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +27,33 @@ CSV_COLUMNS = ["frame"] + [
 
 
 def write_sequence(path, seq: SkeletonSequence) -> None:
+    """Write a sequence file atomically.
+
+    The file is written beside its destination under a temporary name and
+    renamed into place, so a failed write leaves any previous file intact
+    and no partial file behind.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {"frame_rate_hz": seq.frame_rate_hz, "encoding": seq.encoding.value}
-        fh.write(json.dumps(header) + "\n")
-        for t in range(len(seq)):
-            record = {"t": t, "joints": [float(v) for v in seq.data[t]]}
-            fh.write(json.dumps(record) + "\n")
+    tmp = path.with_name(f".{path.name}.tmp")
+    header = {"frame_rate_hz": seq.frame_rate_hz, "encoding": seq.encoding.value}
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header) + "\n")
+            # tolist() gives the Python floats float(v) gives, so the bytes
+            # match a per-element conversion
+            for t, row in enumerate(seq.data.tolist()):
+                fh.write(json.dumps({"t": t, "joints": row}) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_sequence(path) -> SkeletonSequence:
+    """Read a sequence file; any malformed content raises DataError.
+
+    Errors in a frame record name the file and line.
+    """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -59,6 +76,7 @@ def read_sequence(path) -> SkeletonSequence:
         raise DataError(f"{path}: frame_rate_hz must be a positive number")
 
     frames = []
+    linenos = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -66,6 +84,8 @@ def read_sequence(path) -> SkeletonSequence:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: malformed frame record: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DataError(f"{path}:{lineno}: frame record must be a JSON object")
         joints = record.get("joints")
         if not isinstance(joints, list) or len(joints) != POSE_DIM:
             raise DataError(f"{path}:{lineno}: frame record needs {POSE_DIM} joint values")
@@ -73,13 +93,27 @@ def read_sequence(path) -> SkeletonSequence:
             raise DataError(
                 f"{path}:{lineno}: frame index {record.get('t')!r}, expected {len(frames)}"
             )
-        values = [float(v) for v in joints]
-        if not all(math.isfinite(v) for v in values):
-            raise DataError(f"{path}:{lineno}: non-finite joint value")
-        frames.append(values)
+        frames.append(joints)
+        linenos.append(lineno)
     if not frames:
         raise DataError(f"{path}: sequence file has no frames")
-    return SkeletonSequence(np.array(frames), encoding, float(frame_rate))
+    data = _finite_rows(frames)
+    if data is None:
+        lineno = next(n for joints, n in zip(frames, linenos) if _finite_rows([joints]) is None)
+        raise DataError(f"{path}:{lineno}: joint values must be finite numbers")
+    return SkeletonSequence(data, encoding, float(frame_rate))
+
+
+def _finite_rows(frames: list) -> np.ndarray | None:
+    """frames as an (n, 48) float64 array, or None unless every value is a
+    finite number (null converts to NaN, so it is refused too)."""
+    try:
+        data = np.array(frames, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if data.shape != (len(frames), POSE_DIM) or not np.isfinite(data).all():
+        return None
+    return data
 
 
 def write_csv(path, seq: SkeletonSequence) -> None:

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -329,20 +330,52 @@ class SequencePair:
             raise ValueError("corrupted and clean sequences must have equal length")
 
 
-@dataclass(frozen=True)
+SPLIT_NAMES = ("train", "validation", "test")
+
+
 class Corpus:
-    train: SequencePair
-    validation: SequencePair
-    test: SequencePair
-    motion_config: MotionConfig
-    corruption_config: CorruptionConfig
-    split_ratios: tuple[float, float, float]
+    """Paired train/validation/test splits and the configs that made them.
+
+    Each split is given as a SequencePair or as a function that returns
+    one; a function is called when its split is first used, and its pair
+    kept. read_corpus passes functions, so a command reads only the split
+    files it uses.
+    """
+
+    def __init__(
+        self,
+        train: SequencePair | Callable[[], SequencePair],
+        validation: SequencePair | Callable[[], SequencePair],
+        test: SequencePair | Callable[[], SequencePair],
+        motion_config: MotionConfig,
+        corruption_config: CorruptionConfig,
+        split_ratios: tuple[float, float, float],
+    ):
+        self._splits = {"train": train, "validation": validation, "test": test}
+        self.motion_config = motion_config
+        self.corruption_config = corruption_config
+        self.split_ratios = split_ratios
+
+    def _split(self, name: str) -> SequencePair:
+        pair = self._splits[name]
+        if not isinstance(pair, SequencePair):
+            pair = self._splits[name] = pair()
+        return pair
+
+    @property
+    def train(self) -> SequencePair:
+        return self._split("train")
+
+    @property
+    def validation(self) -> SequencePair:
+        return self._split("validation")
+
+    @property
+    def test(self) -> SequencePair:
+        return self._split("test")
 
     def splits(self) -> dict[str, SequencePair]:
-        return {"train": self.train, "validation": self.validation, "test": self.test}
-
-
-SPLIT_NAMES = ("train", "validation", "test")
+        return {name: self._split(name) for name in SPLIT_NAMES}
 
 
 def split_frame_counts(total: int, ratios) -> tuple[int, int, int]:
@@ -427,7 +460,23 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
     return manifest_path
 
 
+def _read_pair(corrupted_path: Path, clean_path: Path) -> SequencePair:
+    # seqio.read_sequence is looked up here, when the split is first used
+    corrupted = seqio.read_sequence(corrupted_path)
+    clean = seqio.read_sequence(clean_path)
+    try:
+        return SequencePair(corrupted, clean)
+    except ValueError as exc:
+        raise DataError(f"{corrupted_path} and {clean_path}: {exc}") from exc
+
+
 def read_corpus(corpus_dir) -> Corpus:
+    """The corpus written by write_corpus.
+
+    The manifest is read and checked here; each split's two sequence files
+    are read when the split is first used, and a malformed file or a pair
+    of unequal length raises DataError then.
+    """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / MANIFEST_NAME
     try:
@@ -436,17 +485,13 @@ def read_corpus(corpus_dir) -> Corpus:
         raise DataError(f"cannot read corpus manifest {manifest_path}: {exc}") from exc
     try:
         splits = manifest["splits"]
-        pairs = {}
+        readers = {}
         for name in SPLIT_NAMES:
             entry = splits[name]
-            pairs[name] = SequencePair(
-                corrupted=seqio.read_sequence(corpus_dir / entry["corrupted"]),
-                clean=seqio.read_sequence(corpus_dir / entry["clean"]),
-            )
+            readers[name] = partial(_read_pair, corpus_dir / entry["corrupted"],
+                                    corpus_dir / entry["clean"])
         return Corpus(
-            train=pairs["train"],
-            validation=pairs["validation"],
-            test=pairs["test"],
+            **readers,
             motion_config=MotionConfig.from_dict(manifest["motion_config"]),
             corruption_config=CorruptionConfig.from_dict(manifest["corruption_config"]),
             split_ratios=tuple(float(r) for r in manifest["split_ratios"]),

@@ -1,9 +1,16 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skelrefine
 from skelrefine import drnn, fusion, metrics, seqio, synth
 from skelrefine.cli import main
 from skelrefine.skeleton import DEFAULT_TREE, POSE_DIM, Encoding, SkeletonSequence
@@ -272,3 +279,108 @@ class TestRefineAndEval:
                        "--input", source, "--out", out) == 0
             seq = seqio.read_sequence(out)
             assert len(seq) == 40
+
+    @pytest.mark.parametrize("bad_record", [
+        "[0.0, 1.0]",
+        json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + [None]}),
+        json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + ["x"]}),
+        json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + [{}]}),
+        json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + [[1.0]]}),
+        json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + [float("inf")]}),
+    ], ids=["record_list", "null", "string", "object", "list", "infinity"])
+    def test_malformed_sequence_is_one_line_data_error(self, workspace, capsys, bad_record):
+        tmp_path, config = workspace
+        good = tmp_path / "good.jsonl"
+        seqio.write_sequence(good, SkeletonSequence(np.zeros((3, POSE_DIM)), Encoding.ABSOLUTE))
+        lines = good.read_text().splitlines()
+        lines[2] = bad_record
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        for argv in (("eval", "--pred", bad, "--truth", good),
+                     ("refine", "--config", config, "--variant", "raw", "--input", bad)):
+            code = run(*argv)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"{bad}:3:" in err
+
+
+class TestCorpusReading:
+    """train and refine read only the corpus splits they use."""
+
+    @pytest.fixture
+    def trained(self, workspace):
+        tmp_path, config = workspace
+        assert run("synth", "--config", config) == 0
+        for which in ("pdrnn", "vdrnn"):
+            assert run("train", "--config", config, "--which", which) == 0
+        shutil.copy(tmp_path / "corpus" / "test.corrupted.jsonl", tmp_path / "input.jsonl")
+        return tmp_path, config
+
+    def test_train_and_kf_refine_need_no_test_split(self, trained):
+        tmp_path, config = trained
+        models = tmp_path / "models"
+        artifacts = (models / "pdrnn.json", models / "pdrnn_loss.csv", tmp_path / "kf.jsonl")
+
+        def pdrnn_and_kf():
+            assert run("train", "--config", config, "--which", "pdrnn") == 0
+            assert run("refine", "--config", config, "--variant", "kf",
+                       "--input", tmp_path / "input.jsonl", "--out", tmp_path / "kf.jsonl") == 0
+            return [path.read_bytes() for path in artifacts]
+
+        expected = pdrnn_and_kf()
+        for kind in ("corrupted", "clean"):
+            (tmp_path / "corpus" / f"test.{kind}.jsonl").unlink()
+        assert pdrnn_and_kf() == expected
+
+    def test_kf_refine_reads_only_the_validation_split(self, trained, monkeypatch):
+        tmp_path, config = trained
+        read = []
+        read_sequence = seqio.read_sequence
+
+        def recording(path):
+            read.append(Path(path).name)
+            return read_sequence(path)
+
+        monkeypatch.setattr(seqio, "read_sequence", recording)
+        assert run("refine", "--config", config, "--variant", "kf",
+                   "--input", tmp_path / "input.jsonl") == 0
+        assert sorted(read) == ["input.jsonl", "validation.clean.jsonl",
+                                "validation.corrupted.jsonl"]
+
+    @pytest.mark.parametrize("cut", ["mid_line", "whole_lines"])
+    def test_truncated_train_split_is_one_line_data_error(self, trained, capsys, cut):
+        tmp_path, config = trained
+        path = tmp_path / "corpus" / "train.clean.jsonl"
+        text = path.read_text()
+        if cut == "mid_line":
+            text = text[: len(text) // 2]
+        else:
+            text = "".join(text.splitlines(keepends=True)[:-5])
+        path.write_text(text)
+        capsys.readouterr()
+        code = run("refine", "--config", config, "--variant", "sknn",
+                   "--input", tmp_path / "input.jsonl")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "train.clean.jsonl" in err
+
+
+def test_cli_and_eval_never_import_scipy(tmp_path):
+    seq_path = tmp_path / "seq.jsonl"
+    seqio.write_sequence(seq_path, SkeletonSequence(np.zeros((4, POSE_DIM)), Encoding.ABSOLUTE))
+    script = textwrap.dedent(f"""
+        import sys
+        import skelrefine.cli
+        assert "scipy" not in sys.modules
+        code = skelrefine.cli.main(["eval", "--pred", {str(seq_path)!r},
+                                    "--truth", {str(seq_path)!r}])
+        assert code == 0, code
+        assert "scipy" not in sys.modules
+    """)
+    src = Path(skelrefine.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

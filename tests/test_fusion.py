@@ -630,6 +630,22 @@ class TestPipeline:
             else:
                 assert np.array_equal(mine, reference), name
 
+    def test_fit_of_every_variant_refines_each_split_once(self, pipeline_setup, monkeypatch):
+        corpus, full = pipeline_setup
+        refined = []
+        refine_positions = drnn.refine_positions
+
+        def counting(params, seq, tree):
+            refined.append(seq)
+            return refine_positions(params, seq, tree)
+
+        monkeypatch.setattr(drnn, "refine_positions", counting)
+        fit_fusion_models(corpus, DEFAULT_TREE, pdrnn=full.pdrnn, vdrnn=full.vdrnn,
+                          vdrnn_plus=full.vdrnn_plus, k=25, variants=PIPELINE_VARIANTS)
+        assert sum(seq is corpus.train.corrupted for seq in refined) == 1
+        assert sum(seq is corpus.validation.corrupted for seq in refined) == 1
+        assert len(refined) == 2
+
     def test_required_models_of_the_shared_gate_and_the_chain(self):
         assert required_models("naive_sknn") == required_models("sknn") == (
             "pdrnn", "vdrnn", "store", "gate")

@@ -1,8 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from skelrefine import seqio
 from skelrefine.errors import DataError
 from skelrefine.seqio import CSV_COLUMNS, read_sequence, write_csv, write_sequence
 from skelrefine.skeleton import POSE_DIM, Encoding, SkeletonSequence
@@ -28,6 +34,62 @@ def test_write_is_deterministic(tmp_path):
     write_sequence(a, seq)
     write_sequence(b, seq)
     assert a.read_bytes() == b.read_bytes()
+
+
+def per_element_bytes(seq) -> bytes:
+    """A sequence file as formatted one float() conversion per value."""
+    lines = [json.dumps({"frame_rate_hz": seq.frame_rate_hz, "encoding": seq.encoding.value})]
+    lines += [json.dumps({"t": t, "joints": [float(v) for v in seq.data[t]]})
+              for t in range(len(seq))]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 4), st.just(POSE_DIM)),
+    elements=st.one_of(st.sampled_from(_EDGE_VALUES),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+))
+def test_write_matches_per_element_formatting_and_reads_back_exactly(data):
+    seq = SkeletonSequence(data, Encoding.ABSOLUTE, 30.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seq.jsonl"
+        write_sequence(path, seq)
+        assert path.read_bytes() == per_element_bytes(seq)
+        # bytes, so that -0.0 and 0.0 differ
+        assert read_sequence(path).data.tobytes() == seq.data.tobytes()
+
+
+@pytest.mark.parametrize("previous", [True, False])
+def test_failed_write_leaves_previous_file_and_no_partial_file(tmp_path, monkeypatch, previous):
+    rng = np.random.default_rng(80)
+    path = tmp_path / "seq.jsonl"
+    if previous:
+        write_sequence(path, random_absolute_sequence(rng, 4))
+        before = path.read_bytes()
+    dumps = json.dumps
+    calls = []
+
+    def failing_dumps(obj, *args, **kwargs):
+        calls.append(obj)
+        if len(calls) == 5:
+            raise RuntimeError("serialisation failed")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(seqio.json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError):
+        write_sequence(path, random_absolute_sequence(rng, 10))
+    monkeypatch.undo()
+    assert len(calls) == 5
+    if previous:
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["seq.jsonl"]
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_header_carries_encoding(tmp_path):

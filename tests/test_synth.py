@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from skelrefine.errors import ConfigurationError
+from skelrefine.errors import ConfigurationError, DataError
 from skelrefine.metrics import aje, ape
 from skelrefine.skeleton import (
     DEFAULT_TREE,
@@ -214,3 +214,30 @@ class TestCorpus:
             )
         assert back.motion_config == corpus.motion_config
         assert back.corruption_config == corpus.corruption_config
+
+    def test_read_corpus_reads_each_split_on_first_use(self, tmp_path):
+        corpus = build_corpus(MotionConfig(n_frames=60, seed=16),
+                              CorruptionConfig(seed=10), (0.5, 0.25, 0.25))
+        write_corpus(corpus, tmp_path)
+        (tmp_path / "test.clean.jsonl").unlink()
+        lines = (tmp_path / "validation.clean.jsonl").read_text().splitlines(keepends=True)
+        (tmp_path / "validation.clean.jsonl").write_text("".join(lines[:-1]))
+        back = read_corpus(tmp_path)
+        assert np.array_equal(back.train.corrupted.data, corpus.train.corrupted.data)
+        assert back.train is back.train
+        with pytest.raises(DataError, match="test.clean.jsonl"):
+            back.test
+        with pytest.raises(DataError, match="equal length"):
+            back.validation
+
+    def test_malformed_manifest_is_rejected_before_any_split_is_read(self, tmp_path):
+        corpus = build_corpus(MotionConfig(n_frames=60, seed=16),
+                              CorruptionConfig(seed=10), (0.5, 0.25, 0.25))
+        manifest_path = write_corpus(corpus, tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["splits"]["test"] = {"corrupted": "test.corrupted.jsonl"}
+        manifest_path.write_text(json.dumps(manifest))
+        for path in tmp_path.glob("*.jsonl"):
+            path.unlink()
+        with pytest.raises(DataError, match="malformed"):
+            read_corpus(tmp_path)
