@@ -17,21 +17,9 @@ from pathlib import Path
 
 
 from . import drnn, fusion, metrics, seqio, synth
-from .errors import (
-    ConfigurationError,
-    DataError,
-    DegenerateGeometryError,
-    DependencyError,
-    DimensionError,
-    EncodingError,
-    InsufficientFramesError,
-    NumericalError,
-    SkelRefineError,
-)
+from .errors import ConfigurationError, DependencyError, NumericalError, SkelRefineError
 from .optim import OptimizerSpec
-from .skeleton import DEFAULT_TREE, sequence_to_relative, velocities
-
-NETWORK_NAMES = ("pdrnn", "vdrnn", "vdrnn_plus")
+from .skeleton import DEFAULT_TREE
 
 _DEFAULT_WINDOWS = {"pdrnn": drnn.POSITION_WINDOW, "vdrnn": drnn.VELOCITY_WINDOW,
                     "vdrnn_plus": drnn.VELOCITY_WINDOW}
@@ -109,7 +97,7 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
 
     networks: dict[str, drnn.DrnnConfig] = {}
     network_iterations: dict[str, int] = {}
-    for name in NETWORK_NAMES:
+    for name in fusion.NETWORKS:
         block = dict(raw.get(name, {}))
         iterations = block.pop("max_iterations", None)
         if iterations is not None:
@@ -178,37 +166,6 @@ def _load_required_checkpoint(models_dir: Path, name: str, needed_for: str) -> d
     return drnn.load_checkpoint(path)
 
 
-# the pipeline stream each velocity network learns to refine
-_INPUT_STREAMS = {"vdrnn": "refined_diff", "vdrnn_plus": "states_diff"}
-
-
-def _training_streams(which: str, corpus, cfg: PipelineConfig, tree):
-    """Input/target streams for one network, for train and validation splits."""
-    splits = {"train": corpus.train, "validation": corpus.validation}
-    if which == "pdrnn":
-        return {
-            name: (sequence_to_relative(pair.corrupted, tree).data,
-                   sequence_to_relative(pair.clean, tree).data)
-            for name, pair in splits.items()
-        }
-
-    # every network before this one in NETWORK_NAMES
-    nets = {name: _load_required_checkpoint(cfg.models_dir, name, which)
-            for name in NETWORK_NAMES[:NETWORK_NAMES.index(which)]}
-    models = fusion.FusionModels(tree=tree, **nets)
-    if which == "vdrnn_plus":
-        # the Kalman states need the fitted noise, which is kept beside the
-        # checkpoints
-        models = fusion.fit_fusion_models(corpus, tree, **nets, variants=("kf",))
-        fusion.write_covariances(cfg.models_dir / "kalman.json", models.kalman_r,
-                                 models.kalman_q)
-    return {
-        name: (fusion.StreamBuilder(pair.corrupted, models)[_INPUT_STREAMS[which]],
-               velocities(pair.clean))
-        for name, pair in splits.items()
-    }
-
-
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.seed)
     out_dir = Path(args.out) if args.out else cfg.corpus_dir
@@ -229,9 +186,21 @@ def cmd_train(args) -> int:
         net_cfg = replace(net_cfg, seed=args.seed)
     cfg.models_dir.mkdir(parents=True, exist_ok=True)
 
-    streams = _training_streams(which, corpus, cfg, tree)
-    train_batch = drnn.batch_from_streams(*streams["train"], net_cfg.window_length)
-    val_batch = drnn.batch_from_streams(*streams["validation"], net_cfg.window_length)
+    needs = fusion.training_models(which)
+    networks = {name: _load_required_checkpoint(cfg.models_dir, name, which)
+                for name in fusion.NETWORKS if name in needs}
+    models = fusion.FusionModels(tree=tree, **networks)
+    if set(needs) - set(networks):
+        # the Kalman states need the fitted noise, which is kept beside the
+        # checkpoints
+        models = fusion.fit_fusion_models(corpus, tree, **networks, variants=("kf",))
+        fusion.write_covariances(cfg.models_dir / "kalman.json", models.kalman_r,
+                                 models.kalman_q)
+    train_batch, val_batch = (
+        drnn.batch_from_streams(*fusion.training_streams(which, pair, models),
+                                net_cfg.window_length)
+        for pair in (corpus.train, corpus.validation)
+    )
 
     optimizer = cfg.optimizer
     if which in cfg.network_iterations:
@@ -328,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one network in dependency order")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--which", required=True, choices=NETWORK_NAMES)
+    p_train.add_argument("--which", required=True, choices=tuple(fusion.NETWORKS))
     p_train.add_argument("--seed", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
@@ -355,16 +324,6 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        DataError,
-        DependencyError,
-        DimensionError,
-        EncodingError,
-        InsufficientFramesError,
-        DegenerateGeometryError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -320,24 +320,27 @@ def window_count(n_frames: int, window_length: int) -> int:
     return n_frames - window_length + 1
 
 
-def make_windows(stream, window_length: int, stride: int = 1) -> np.ndarray:
-    """Dense sliding windows over a (frames, dim) stream."""
-    arr = np.asarray(stream, dtype=np.float64)
+def make_windows(stream, window_length: int) -> np.ndarray:
+    """Dense sliding windows over a (frames, dim) stream.
+
+    The windows are a read-only view of one copy of the stream, so they cost
+    the stream's memory, not window_length times it, and later writes to the
+    caller's stream do not reach them.
+    """
+    arr = np.array(stream, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"stream must be 2-D, got {arr.shape}")
     if window_count(arr.shape[0], window_length) < 1:
         raise InsufficientFramesError(
             f"stream of {arr.shape[0]} frames is shorter than window {window_length}"
         )
-    view = np.lib.stride_tricks.sliding_window_view(arr, (window_length, arr.shape[1]))
-    return view[::stride, 0].copy()
+    return np.lib.stride_tricks.sliding_window_view(arr, (window_length, arr.shape[1]))[:, 0]
 
 
-def batch_from_streams(input_stream, target_stream, window_length: int,
-                       stride: int = 1) -> TrainingBatch:
+def batch_from_streams(input_stream, target_stream, window_length: int) -> TrainingBatch:
     return TrainingBatch(
-        make_windows(input_stream, window_length, stride),
-        make_windows(target_stream, window_length, stride),
+        make_windows(input_stream, window_length),
+        make_windows(target_stream, window_length),
     )
 
 

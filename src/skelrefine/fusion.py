@@ -22,7 +22,9 @@ the one place this wiring lives: each row names its query (or measurement)
 stream, its velocity stream, its store, its gate or noise, and its anchor,
 by the names of STREAMS and of FusionModels attributes. run_pipeline and
 fit_fusion_models read the table, and a StreamBuilder computes each stream
-of a sequence at most once.
+of a sequence at most once. The NETWORKS table wires training the same way:
+each network, in training order, names the stream it reads and the stream
+it learns, and training_streams builds both with a StreamBuilder.
 
 Cost. The neighbor search is exact but does not sort the whole store per
 query: one BLAS mat-vec gives every key's squared distance through the
@@ -44,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import drnn
+from . import drnn, skeleton
 from .errors import (
     ConfigurationError,
     DataError,
@@ -386,9 +388,11 @@ class FusionModels:
 
 # Streams derived from one absolute sequence, whose own positions are "raw":
 # name -> (operation, FusionModels attributes it reads, streams it reads).
-# "<x>_diff" is the finite-difference velocity of x, "<x>_vel" that velocity
-# refined by a network.
+# "relative" is the parent-relative encoding, "<x>_diff" the
+# finite-difference velocity of x, "<x>_vel" that velocity refined by a
+# network.
 STREAMS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+    "relative": ("sequence_to_relative", (), ()),
     "refined": ("refine_positions", ("pdrnn",), ()),
     "refined_diff": ("difference", (), ("refined",)),
     "refined_vel": ("run_stream", ("vdrnn",), ("refined_diff",)),
@@ -417,7 +421,9 @@ class StreamBuilder:
             operation, model_names, sources = STREAMS[name]
             params = [getattr(self._models, m) for m in model_names]
             inputs = [self[s] for s in sources]
-            if operation == "refine_positions":
+            if operation == "sequence_to_relative":
+                value = skeleton.sequence_to_relative(self._seq, self._models.tree).data
+            elif operation == "refine_positions":
                 value = drnn.refine_positions(params[0], self._seq, self._models.tree).data
             elif operation == "difference":
                 if inputs[0].shape[0] < 2:
@@ -469,7 +475,14 @@ VARIANTS: dict[str, Variant] = {
 }
 
 PIPELINE_VARIANTS = tuple(VARIANTS)
-_NETWORKS = ("pdrnn", "vdrnn", "vdrnn_plus")
+
+# The networks in training order, each with the stream of the corrupted
+# sequence it reads and the stream of the clean sequence it learns.
+NETWORKS: dict[str, tuple[str, str]] = {
+    "pdrnn": ("relative", "relative"),
+    "vdrnn": ("refined_diff", "raw_diff"),
+    "vdrnn_plus": ("states_diff", "raw_diff"),
+}
 
 
 def _variant(name: str) -> Variant:
@@ -499,7 +512,20 @@ def required_models(variant: str) -> tuple[str, ...]:
 def required_networks(variant: str) -> tuple[str, ...]:
     """Which trained networks a variant needs loaded."""
     needs = required_models(variant)
-    return tuple(n for n in _NETWORKS if n in needs)
+    return tuple(n for n in NETWORKS if n in needs)
+
+
+def training_models(network: str) -> tuple[str, ...]:
+    """The FusionModels attributes a network's training streams read, each
+    after the ones it is fitted from."""
+    return tuple(dict.fromkeys(m for stream in NETWORKS[network] for m in _stream_needs(stream)))
+
+
+def training_streams(network: str, pair, models: FusionModels) -> tuple[np.ndarray, np.ndarray]:
+    """A network's (input, target) streams on one corpus split, as NETWORKS
+    names them; models must hold what training_models names."""
+    source, target = NETWORKS[network]
+    return StreamBuilder(pair.corrupted, models)[source], StreamBuilder(pair.clean, models)[target]
 
 
 def _sknn_track(query_data: np.ndarray, velocity_stream: np.ndarray,
@@ -590,7 +616,7 @@ def fit_fusion_models(
     """
     want = dict.fromkeys(name for v in variants for name in required_models(v))
     models = FusionModels(tree=tree, pdrnn=pdrnn, vdrnn=vdrnn, vdrnn_plus=vdrnn_plus)
-    for net in _NETWORKS:
+    for net in NETWORKS:
         if net in want and getattr(models, net) is None:
             raise ConfigurationError(f"requested variants need the {net} network")
 

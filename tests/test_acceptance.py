@@ -275,53 +275,27 @@ ACCEPTANCE_KNN_K = 1000
 
 @pytest.fixture(scope="module")
 def trained_pipeline():
-    from skelrefine.skeleton import sequence_to_relative, velocities
-
     started = time.monotonic()
     tree = DEFAULT_TREE
     corpus = synth.build_corpus(ACCEPTANCE_MOTION, ACCEPTANCE_CORRUPTION)
     assert (len(corpus.train.clean), len(corpus.validation.clean),
             len(corpus.test.clean)) == (5000, 800, 1500)
 
-    train_batch = drnn.batch_from_streams(
-        sequence_to_relative(corpus.train.corrupted, tree).data,
-        sequence_to_relative(corpus.train.clean, tree).data, 7,
-    )
-    val_batch = drnn.batch_from_streams(
-        sequence_to_relative(corpus.validation.corrupted, tree).data,
-        sequence_to_relative(corpus.validation.clean, tree).data, 7,
-    )
+    def train(network, config, iterations, models):
+        batches = [drnn.batch_from_streams(*fusion.training_streams(network, pair, models),
+                                           config.window_length)
+                   for pair in (corpus.train, corpus.validation)]
+        return drnn.train(config, *batches, sr.OptimizerSpec(max_iterations=iterations)).params
+
     print("\n[C7] training position network ...")
-    pdrnn = drnn.train(PDRNN_CONFIG, train_batch, val_batch,
-                       sr.OptimizerSpec(max_iterations=PDRNN_ITERATIONS)).params
-
-    refined_train = drnn.refine_positions(pdrnn, corpus.train.corrupted, tree)
-    refined_val = drnn.refine_positions(pdrnn, corpus.validation.corrupted, tree)
-    vel_train = drnn.batch_from_streams(
-        velocities(refined_train), velocities(corpus.train.clean), 20)
-    vel_val = drnn.batch_from_streams(
-        velocities(refined_val), velocities(corpus.validation.clean), 20)
+    pdrnn = train("pdrnn", PDRNN_CONFIG, PDRNN_ITERATIONS, fusion.FusionModels(tree=tree))
     print("[C7] training velocity network ...")
-    vdrnn = drnn.train(VDRNN_CONFIG, vel_train, vel_val,
-                       sr.OptimizerSpec(max_iterations=VELOCITY_ITERATIONS)).params
-
-    base = fusion.fit_fusion_models(corpus, tree, pdrnn=pdrnn, vdrnn=vdrnn,
-                                    variants=("kf",))
-    states_train = fusion.kalman_filter_stream(
-        refined_train.data, drnn.refine_velocities(vdrnn, refined_train),
-        base.kalman_r, base.kalman_q,
-    )
-    states_val = fusion.kalman_filter_stream(
-        refined_val.data, drnn.refine_velocities(vdrnn, refined_val),
-        base.kalman_r, base.kalman_q,
-    )
-    plus_train = drnn.batch_from_streams(
-        np.diff(states_train, axis=0), velocities(corpus.train.clean), 20)
-    plus_val = drnn.batch_from_streams(
-        np.diff(states_val, axis=0), velocities(corpus.validation.clean), 20)
+    vdrnn = train("vdrnn", VDRNN_CONFIG, VELOCITY_ITERATIONS,
+                  fusion.FusionModels(tree=tree, pdrnn=pdrnn))
     print("[C7] training state-velocity network ...")
-    vdrnn_plus = drnn.train(VDRNN_PLUS_CONFIG, plus_train, plus_val,
-                            sr.OptimizerSpec(max_iterations=VELOCITY_ITERATIONS)).params
+    vdrnn_plus = train("vdrnn_plus", VDRNN_PLUS_CONFIG, VELOCITY_ITERATIONS,
+                       fusion.fit_fusion_models(corpus, tree, pdrnn=pdrnn, vdrnn=vdrnn,
+                                                variants=("kf",)))
 
     models = fusion.fit_fusion_models(
         corpus, tree, pdrnn=pdrnn, vdrnn=vdrnn, vdrnn_plus=vdrnn_plus,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import skelrefine
-from skelrefine import drnn, fusion, metrics, seqio, synth
+from skelrefine import cli, drnn, errors, fusion, metrics, seqio, synth
 from skelrefine.cli import main
 from skelrefine.skeleton import DEFAULT_TREE, POSE_DIM, Encoding, SkeletonSequence
 
@@ -52,6 +52,28 @@ def workspace(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# the exit code skelrefine.cli's docstring documents for each error class
+EXIT_CODES = {errors.ConfigurationError: 1, errors.NumericalError: 3,
+              errors.TrainingDivergedError: 3, errors.SkelRefineError: 2,
+              errors.EncodingError: 2, errors.InsufficientFramesError: 2,
+              errors.DegenerateGeometryError: 2, errors.DimensionError: 2,
+              errors.DependencyError: 2, errors.DataError: 2}
+
+
+@pytest.mark.parametrize("error", [
+    value for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, errors.SkelRefineError)
+], ids=lambda error: error.__name__)
+def test_every_error_ends_in_its_exit_code_and_one_line(monkeypatch, capsys, error):
+    def failing(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_eval", failing)
+    assert run("eval", "--pred", "a.jsonl", "--truth", "b.jsonl") == EXIT_CODES[error]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSynthCommand:
@@ -116,12 +138,20 @@ class TestSynthCommand:
 
 
 class TestTrainCommand:
-    def test_wrong_order_is_dependency_error(self, workspace, capsys):
+    @pytest.mark.parametrize("which,trained,missing", [
+        ("vdrnn", (), "pdrnn"), ("vdrnn_plus", ("pdrnn",), "vdrnn"),
+    ], ids=["vdrnn", "vdrnn_plus"])
+    def test_wrong_order_is_dependency_error(self, workspace, capsys, which, trained, missing):
         _, config = workspace
         assert run("synth", "--config", config) == 0
-        code = run("train", "--config", config, "--which", "vdrnn")
+        for name in trained:
+            assert run("train", "--config", config, "--which", name) == 0
+        capsys.readouterr()
+        code = run("train", "--config", config, "--which", which)
+        err = capsys.readouterr().err
         assert code == 2
-        assert "pdrnn" in capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"requires the {missing} checkpoint" in err
 
     def test_trains_in_dependency_order_writing_artifacts(self, workspace, capsys):
         tmp_path, config = workspace

@@ -301,6 +301,11 @@ class TestWindows:
         assert batch.window_length == 4
         assert np.array_equal(batch.inputs[2], a[2:6])
         assert np.array_equal(batch.targets[2], b[2:6])
+        # read-only views of the batch's own copies of the streams
+        assert not (batch.inputs.flags.writeable or batch.targets.flags.writeable)
+        expected = a[2:6].copy()
+        a[:] = 0.0
+        assert np.array_equal(batch.inputs[2], expected)
 
     def test_mismatched_batch_rejected(self):
         with pytest.raises(DimensionError):

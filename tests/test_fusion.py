@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelrefine import drnn
+from skelrefine import drnn, skeleton
 from skelrefine.errors import ConfigurationError, DataError, EncodingError, NumericalError
 from skelrefine.fusion import (
     _sknn_track,
     FusionModels,
     GateModel,
     KalmanState,
+    NETWORKS,
     NeighborStore,
     PIPELINE_VARIANTS,
     estimate_gate,
@@ -29,6 +30,8 @@ from skelrefine.fusion import (
     required_networks,
     run_pipeline,
     sknn_step,
+    training_models,
+    training_streams,
     write_covariances,
     write_gate,
 )
@@ -482,6 +485,23 @@ def explicit_composition(variant, seq, models):
     return track(states, state_vel, models.store_plus, models.gate_plus)
 
 
+def hand_wired_training_streams(network, pair, models):
+    """Independent reference for training_streams: each network's (input,
+    target) streams wired by hand from the encoder, the networks and the
+    Kalman filter."""
+    tree = models.tree
+    if network == "pdrnn":
+        return (skeleton.sequence_to_relative(pair.corrupted, tree).data,
+                skeleton.sequence_to_relative(pair.clean, tree).data)
+    refined = drnn.refine_positions(models.pdrnn, pair.corrupted, tree)
+    if network == "vdrnn":
+        return velocities(refined), velocities(pair.clean)
+    assert network == "vdrnn_plus"
+    states = kalman_filter_stream(refined.data, drnn.refine_velocities(models.vdrnn, refined),
+                                  models.kalman_r, models.kalman_q)
+    return np.diff(states, axis=0), velocities(pair.clean)
+
+
 def tiny_trained_models(variants=("sknn", "kf", "sknnkf"), n_frames=260, iters=12):
     """Small corpus plus briefly trained networks, enough to exercise wiring."""
     motion = MotionConfig(n_frames=n_frames, seed=5, motion_bandwidth_hz=0.8)
@@ -489,30 +509,27 @@ def tiny_trained_models(variants=("sknn", "kf", "sknnkf"), n_frames=260, iters=1
     corpus = build_corpus(motion, corruption, (0.6, 0.2, 0.2))
     tree = DEFAULT_TREE
     from skelrefine.optim import OptimizerSpec
-    from skelrefine.skeleton import sequence_to_relative
 
     spec = OptimizerSpec(max_iterations=iters)
+
+    def batches(network, window, models):
+        return [drnn.batch_from_streams(*training_streams(network, pair, models), window)
+                for pair in (corpus.train, corpus.validation)]
+
     pcfg = drnn.DrnnConfig(hidden_sizes=(16, 16), recurrent_layer_index=2,
                            window_length=7, seed=1)
-    ptb = drnn.batch_from_streams(
-        sequence_to_relative(corpus.train.corrupted, tree).data,
-        sequence_to_relative(corpus.train.clean, tree).data, 7)
-    pvb = drnn.batch_from_streams(
-        sequence_to_relative(corpus.validation.corrupted, tree).data,
-        sequence_to_relative(corpus.validation.clean, tree).data, 7)
-    pdrnn = drnn.train(pcfg, ptb, pvb, spec).params
+    pdrnn = drnn.train(pcfg, *batches("pdrnn", 7, FusionModels(tree=tree)), spec).params
 
     vcfg = drnn.DrnnConfig(hidden_sizes=(12, 12), recurrent_layer_index=1,
                            window_length=10, seed=2)
-    refined_train = drnn.refine_positions(pdrnn, corpus.train.corrupted, tree)
-    refined_val = drnn.refine_positions(pdrnn, corpus.validation.corrupted, tree)
-    vtb = drnn.batch_from_streams(velocities(refined_train), velocities(corpus.train.clean), 10)
-    vvb = drnn.batch_from_streams(velocities(refined_val), velocities(corpus.validation.clean), 10)
-    vdrnn = drnn.train(vcfg, vtb, vvb, spec).params
+    velocity_batches = batches("vdrnn", 10, FusionModels(tree=tree, pdrnn=pdrnn))
+    vdrnn = drnn.train(vcfg, *velocity_batches, spec).params
+    # vdrnn_plus learns vdrnn's streams, which spares the noise fit that its
+    # own streams need
     vdrnn_plus = drnn.train(
         drnn.DrnnConfig(hidden_sizes=(12, 12), recurrent_layer_index=1,
                         window_length=10, seed=3),
-        vtb, vvb, spec,
+        *velocity_batches, spec,
     ).params
 
     models = fit_fusion_models(
@@ -661,6 +678,21 @@ class TestPipeline:
         assert required_networks("sknnkf") == ("pdrnn", "vdrnn", "vdrnn_plus")
         with pytest.raises(ConfigurationError):
             required_networks("nope")
+
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_training_streams_equal_hand_wiring(self, pipeline_setup, network, split):
+        corpus, models = pipeline_setup
+        pair = getattr(corpus, split)
+        streams = training_streams(network, pair, models)
+        reference = hand_wired_training_streams(network, pair, models)
+        assert all(np.array_equal(a, b) for a, b in zip(streams, reference, strict=True))
+
+    def test_training_models_map(self):
+        assert tuple(NETWORKS) == ("pdrnn", "vdrnn", "vdrnn_plus")
+        assert training_models("pdrnn") == ()
+        assert training_models("vdrnn") == ("pdrnn",)
+        assert training_models("vdrnn_plus") == ("pdrnn", "vdrnn", "kalman_r", "kalman_q")
 
     def test_fit_rejects_missing_networks(self, pipeline_setup):
         corpus, _ = pipeline_setup
