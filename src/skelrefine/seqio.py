@@ -10,6 +10,7 @@ plotting.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from pathlib import Path
@@ -104,9 +105,16 @@ def read_sequence(path) -> SkeletonSequence:
     return SkeletonSequence(data, encoding, float(frame_rate))
 
 
+# the types json.loads gives a number; bool is not among them, nor str,
+# which np.array would convert ("1.5" and true would read as 1.5 and 1.0)
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _finite_rows(frames: list) -> np.ndarray | None:
     """frames as an (n, 48) float64 array, or None unless every value is a
-    finite number (null converts to NaN, so it is refused too)."""
+    finite JSON number (null converts to NaN, so it is refused too)."""
+    if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(frames))):
+        return None
     try:
         data = np.array(frames, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):

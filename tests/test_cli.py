@@ -317,7 +317,11 @@ class TestRefineAndEval:
         json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + [{}]}),
         json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + [[1.0]]}),
         json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + [float("inf")]}),
-    ], ids=["record_list", "null", "string", "object", "list", "infinity"])
+        json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + ["1.5"]}),
+        json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + [True]}),
+        json.dumps({"t": 1, "joints": [False] + [0.0] * (POSE_DIM - 1)}),
+    ], ids=["record_list", "null", "string", "object", "list", "infinity", "numeric_string",
+            "true", "false"])
     def test_malformed_sequence_is_one_line_data_error(self, workspace, capsys, bad_record):
         tmp_path, config = workspace
         good = tmp_path / "good.jsonl"

@@ -187,6 +187,23 @@ class TestSknnStep:
             assert np.all(out >= lows - 1e-12)
             assert np.all(out <= highs + 1e-12)
 
+    def test_inputs_and_store_left_unchanged(self):
+        rng = np.random.default_rng(19)
+        store = NeighborStore(rng.normal(size=(30, POSE_DIM)), rng.normal(size=(30, POSE_DIM)),
+                              k=8)
+        sigma2 = np.full(POSE_DIM, 1e6)
+        sigma2[:16] = 1e-18
+        sigma2[16:32] = 0.5
+        gate = GateModel(sigma2, theta=0.05)
+        query, velocity, prev = (rng.normal(size=POSE_DIM) for _ in range(3))
+        arrays = {"query": query, "velocity": velocity, "prev": prev, "keys": store.keys,
+                  "targets": store.targets, "key_norms2": store._key_norms2,
+                  "targets_t": store._targets_t, "sigma2": gate.sigma2}
+        before = {name: arr.copy() for name, arr in arrays.items()}
+        sknn_step(store, gate, query, velocity, prev)
+        for name, arr in arrays.items():
+            assert np.array_equal(arr, before[name]), name
+
     def test_key_offset_does_not_reject_consistent_neighbors(self):
         # Keys sit a constant 0.04 from their targets, as refined poses sit
         # about one position error from ground truth; prev is a fused output,
@@ -246,6 +263,48 @@ class TestNearestIndices:
         keys, k, query = case
         store = NeighborStore(keys, np.zeros_like(keys), k=k)
         assert list(nearest_indices(store, query)) == brute_force_nearest(keys, query, k)
+
+    @given(knn_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_gated_step_matches_brute_force(self, case, seed):
+        keys, k, query = case
+        rng = np.random.default_rng(seed)
+        targets = rng.normal(scale=0.1, size=keys.shape)
+        velocity = rng.normal(scale=0.01, size=POSE_DIM)
+        prev = rng.normal(scale=0.1, size=POSE_DIM)
+        # per component: keeps every neighbor, rejects every one (the
+        # fallback), or rejects some
+        sigma2 = rng.choice([1e6, 1e-18, 0.01], size=POSE_DIM)
+        theta = 0.05
+        store = NeighborStore(keys, targets, k=k)
+        out = sknn_step(store, GateModel(sigma2, theta), query, velocity, prev)
+        expected = brute_force_sknn(keys, targets, k, sigma2, theta, query, velocity, prev)
+        assert np.array_equal(out, expected)
+
+    def test_near_ties_across_the_kth_boundary(self):
+        # At a 1e4 offset with a 1e-3 spread the prefilter's error bound
+        # exceeds every gap between distances, so the near ties must be
+        # ranked exactly: exact copies of one key, and copies one ulp away in
+        # one component, sit on both sides of the k-th neighbor and on both
+        # sides of the original in index order.
+        rng = np.random.default_rng(18)
+        base = 1e4 + 1e-3 * rng.normal(size=(40, POSE_DIM))
+        query = 1e4 + 1e-3 * rng.normal(size=POSE_DIM)
+        j = 9
+        tied = base[brute_force_nearest(base, query, j + 1)[j]]
+        up, down = tied.copy(), tied.copy()
+        up[3] = np.nextafter(up[3], np.inf)
+        down[3] = np.nextafter(down[3], -np.inf)
+        keys = np.concatenate([base[:20], [tied, up, down], base[20:], [down, tied, up]])
+        k = j + 4
+        expected = brute_force_nearest(keys, query, k)
+        cluster = [i for i in range(len(keys)) if np.abs(keys[i] - tied).max() <= 2e-12]
+        assert len(cluster) == 7
+        assert set(expected[j:]) < set(cluster)  # the boundary cuts the cluster
+        distances = {float(np.sum((keys[i] - query) ** 2)) for i in cluster}
+        assert len(distances) > 1  # so the distance, not only the index, orders it
+        store = NeighborStore(keys, np.zeros_like(keys), k=k)
+        assert list(nearest_indices(store, query)) == expected
 
     def test_store_rejects_non_finite_keys_and_targets(self):
         finite = np.zeros((3, POSE_DIM))
