@@ -63,6 +63,15 @@ def _fraction(fusion_raw: dict, key: str) -> float:
     return value
 
 
+def _count(raw, what: str) -> int:
+    """A whole number of at least 1: a JSON integer, or a number with an
+    integral value."""
+    whole = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not whole or raw < 1:
+        raise ConfigurationError(f"{what} must be a whole number of at least 1, got {raw!r}")
+    return int(raw)
+
+
 def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     path = Path(path)
     try:
@@ -76,16 +85,23 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
 
     paths = _section(raw, "paths")
     base = path.parent
-    try:
-        corpus_dir = base / paths["corpus"]
-        models_dir = base / paths["models"]
-        outputs_dir = base / paths["outputs"]
-    except KeyError as exc:
-        raise ConfigurationError(f"paths section missing {exc}") from exc
+    for key in ("corpus", "models", "outputs"):
+        if not isinstance(paths.get(key), str):
+            raise ConfigurationError(f"paths {key} must be a string, got {paths.get(key)!r}")
+    corpus_dir = base / paths["corpus"]
+    models_dir = base / paths["models"]
+    outputs_dir = base / paths["outputs"]
 
     corpus_raw = dict(_section(raw, "corpus"))
     corruption_raw = corpus_raw.pop("corruption", {})
-    split_ratios = tuple(corpus_raw.pop("split_ratios", synth.DEFAULT_SPLIT_RATIOS))
+    if not isinstance(corruption_raw, dict):
+        raise ConfigurationError(f"corpus corruption must be an object, got {corruption_raw!r}")
+    split_ratios = corpus_raw.pop("split_ratios", synth.DEFAULT_SPLIT_RATIOS)
+    if not isinstance(split_ratios, (list, tuple)):
+        raise ConfigurationError(
+            f"corpus split_ratios must be a list of 3 numbers, got {split_ratios!r}"
+        )
+    split_ratios = tuple(split_ratios)
     total_frames = corpus_raw.pop("total_frames", None)
     if total_frames is not None:
         corpus_raw.setdefault("n_frames", total_frames)
@@ -98,10 +114,13 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     networks: dict[str, drnn.DrnnConfig] = {}
     network_iterations: dict[str, int] = {}
     for name in fusion.NETWORKS:
-        block = dict(raw.get(name, {}))
+        block = raw.get(name, {})
+        if not isinstance(block, dict):
+            raise ConfigurationError(f"network block {name!r} must be an object")
+        block = dict(block)
         iterations = block.pop("max_iterations", None)
         if iterations is not None:
-            network_iterations[name] = int(iterations)
+            network_iterations[name] = _count(iterations, f"{name} max_iterations")
         block.setdefault("input_dim", 48)
         block.setdefault("output_dim", 48)
         block.setdefault("hidden_sizes", [256, 256, 256])
@@ -121,18 +140,16 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     fusion_raw = raw.get("fusion", {})
     if not isinstance(fusion_raw, dict):
         raise ConfigurationError("fusion section must be an object")
-    try:
-        knn_k = int(fusion_raw.get("k", 300))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"fusion k must be an integer: {exc}") from exc
-    if knn_k < 1:
-        raise ConfigurationError("fusion k must be at least 1")
+    knn_k = _count(fusion_raw.get("k", 300), "fusion k")
     theta = _fraction(fusion_raw, "theta")
     theta_plus = _fraction(fusion_raw, "theta_plus")
 
-    variants = tuple(raw.get("variants", ["raw", "pdrnn", "sknn", "kf", "sknnkf"]))
+    variants = raw.get("variants", ["raw", "pdrnn", "sknn", "kf", "sknnkf"])
+    if not isinstance(variants, list):
+        raise ConfigurationError(f"variants must be a list of names, got {variants!r}")
+    variants = tuple(variants)
     for variant in variants:
-        if variant not in fusion.PIPELINE_VARIANTS:
+        if not isinstance(variant, str) or variant not in fusion.PIPELINE_VARIANTS:
             raise ConfigurationError(f"unknown variant {variant!r} in config")
 
     return PipelineConfig(
@@ -212,7 +229,7 @@ def cmd_train(args) -> int:
     loss_csv = cfg.models_dir / f"{which}_loss.csv"
     train_size = train_batch.targets.size
     val_size = val_batch.targets.size
-    with loss_csv.open("w", encoding="utf-8", newline="") as fh:
+    with seqio.atomic_open(loss_csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["iteration", "train_sse", "train_mse", "validation_sse", "validation_mse"]
@@ -227,6 +244,7 @@ def cmd_train(args) -> int:
                 "checkpoint": str(checkpoint),
                 "loss_csv": str(loss_csv),
                 "iterations": result.iterations,
+                "evaluations": result.n_evaluations,
                 "converged": result.converged,
                 "message": result.message,
                 "final_train_mse": result.train_losses[-1] / train_size,

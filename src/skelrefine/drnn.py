@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import optim
+from . import optim, seqio
 from .errors import (
     ConfigurationError,
     DataError,
@@ -209,8 +209,15 @@ def _forward_batch(params: DrnnParams, inputs: np.ndarray, h0: np.ndarray | None
                    keep_cache: bool = False):
     """Batched forward pass over (batch, time, input_dim) windows.
 
-    Returns (outputs, final_hidden, cache); cache holds per-layer activations
-    and the pre-step hidden states when keep_cache is set, else (None, None).
+    Returns (outputs, final_hidden, acts). With keep_cache, acts holds one
+    time-major (time, batch, size) activation slab per hidden layer: each
+    step's layer GEMM writes straight into the step's row, the bias, the
+    recurrent term and the ReLU are applied there in place, and the
+    recurrent layer's state entering step t is row t - 1 of its slab (h0 at
+    t = 0). Without keep_cache, acts is None and each step's activations are
+    fresh arrays, dropped as soon as the next layer has read them. Both ways
+    compute the same operations on the same operands, so the outputs agree
+    bit for bit.
     """
     cfg = params.config
     x = np.asarray(inputs, dtype=np.float64)
@@ -221,7 +228,6 @@ def _forward_batch(params: DrnnParams, inputs: np.ndarray, h0: np.ndarray | None
     n_batch, n_time, _ = x.shape
     if n_time < 1:
         raise DimensionError("window must contain at least one frame")
-    n_layers = len(cfg.hidden_sizes)
     rec = cfg.recurrent_layer_index - 1
     if h0 is None:
         h = np.zeros((n_batch, cfg.recurrent_size))
@@ -231,28 +237,21 @@ def _forward_batch(params: DrnnParams, inputs: np.ndarray, h0: np.ndarray | None
             raise DimensionError(
                 f"h0 must have shape ({n_batch}, {cfg.recurrent_size}), got {h.shape}"
             )
-    acts = None
-    h_prev = None
-    if keep_cache:
-        acts = [np.empty((n_batch, n_time, s)) for s in cfg.hidden_sizes]
-        h_prev = np.empty((n_batch, n_time, cfg.recurrent_size))
+    acts = [np.empty((n_time, n_batch, size)) for size in cfg.hidden_sizes] if keep_cache else None
     outputs = np.empty((n_batch, n_time, cfg.output_dim))
     for t in range(n_time):
         a = x[:, t, :]
-        for layer in range(n_layers):
-            pre = a @ params.inter[layer]
+        for layer, weight in enumerate(params.inter):
+            pre = np.matmul(a, weight, out=acts[layer][t]) if keep_cache else a @ weight
             pre += params.biases[layer]
             if layer == rec:
-                if keep_cache:
-                    h_prev[:, t, :] = h
                 pre += h @ params.recurrent
             a = np.maximum(pre, 0.0, out=pre)
             if layer == rec:
                 h = a
-            if keep_cache:
-                acts[layer][:, t, :] = a
-        outputs[:, t, :] = a @ params.out_weight + params.out_bias
-    return outputs, h, (acts, h_prev)
+        y = np.matmul(a, params.out_weight, out=outputs[:, t, :])
+        y += params.out_bias
+    return outputs, h, acts
 
 
 def forward(params: DrnnParams, window, h0=None) -> tuple[np.ndarray, np.ndarray]:
@@ -366,41 +365,49 @@ def loss_value(params: DrnnParams, batch: TrainingBatch) -> float:
 def loss_and_gradient(params: DrnnParams, batch: TrainingBatch) -> tuple[float, DrnnParams]:
     """Sum-of-squares loss and its gradient by backpropagation through time.
 
-    The ReLU subgradient at exactly zero is taken as zero. Raises
-    NumericalError when activations overflow to non-finite values.
+    The backward pass reads the forward pass's time-major activation slabs
+    one step row at a time; the recurrent layer's previous state is the row
+    before. The output error and its doubling are formed in place in the
+    outputs array, and each layer's delta in place in the array its GEMM
+    returned. Layer 0's input gradient is never formed. The ReLU subgradient
+    at exactly zero is taken as zero. Raises NumericalError when activations
+    overflow to non-finite values.
     """
     cfg = params.config
     _check_batch(cfg, batch)
     x, target = batch.inputs, batch.targets
-    outputs, _, (acts, h_prev) = _forward_batch(params, x, keep_cache=True)
-    diff = outputs - target
+    diff, _, acts = _forward_batch(params, x, keep_cache=True)
+    diff -= target
     loss = float(np.vdot(diff, diff))
     if not np.isfinite(loss):
         raise NumericalError("loss is not finite; activations overflowed")
 
     grads = zeros_like_params(params)
     n_batch, n_time, _ = x.shape
-    n_layers = len(cfg.hidden_sizes)
     rec = cfg.recurrent_layer_index - 1
-    d_out = 2.0 * diff
+    d_out = diff
+    d_out *= 2.0
+    h0 = np.zeros((n_batch, cfg.recurrent_size))
     dh_carry = np.zeros((n_batch, cfg.recurrent_size))
     for t in range(n_time - 1, -1, -1):
         dy = d_out[:, t, :]
-        grads.out_weight += acts[n_layers - 1][:, t, :].T @ dy
+        grads.out_weight += acts[-1][t].T @ dy
         grads.out_bias += dy.sum(axis=0)
         da = dy @ params.out_weight.T
-        for layer in range(n_layers - 1, -1, -1):
-            a_layer = acts[layer][:, t, :]
+        for layer in range(len(acts) - 1, -1, -1):
             if layer == rec:
-                da = da + dh_carry
-            dpre = da * (a_layer > 0.0)
-            below = acts[layer - 1][:, t, :] if layer > 0 else x[:, t, :]
+                da += dh_carry
+            dpre = np.multiply(da, acts[layer][t] > 0.0, out=da)
+            below = acts[layer - 1][t] if layer > 0 else x[:, t, :]
             grads.inter[layer] += below.T @ dpre
             grads.biases[layer] += dpre.sum(axis=0)
             if layer == rec:
-                grads.recurrent += h_prev[:, t, :].T @ dpre
+                h_prev = acts[rec][t - 1] if t > 0 else h0
+                grads.recurrent += h_prev.T @ dpre
                 dh_carry = dpre @ params.recurrent.T
-            da = dpre @ params.inter[layer].T
+            if layer > 0:
+                # layer 0's input gradient would be discarded
+                da = dpre @ params.inter[layer].T
     return loss, grads
 
 
@@ -412,6 +419,7 @@ class TrainResult:
     train_losses: list[float]  # SSE at iteration 0 (initial) onward
     validation_losses: list[float]
     iterations: int
+    n_evaluations: int  # loss-and-gradient calls, line searches included
     converged: bool
     message: str
 
@@ -457,6 +465,7 @@ def train(
         train_losses=train_losses,
         validation_losses=validation_losses,
         iterations=result.iterations,
+        n_evaluations=result.n_evaluations,
         converged=result.converged,
         message=result.message,
     )
@@ -485,7 +494,8 @@ def refine_velocities(params: DrnnParams, seq: SkeletonSequence) -> np.ndarray:
 
 
 def save_checkpoint(path, params: DrnnParams) -> None:
-    """Versioned JSON container: config plus all matrices, row-major."""
+    """Versioned JSON container: config plus all matrices, row-major,
+    written atomically."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
@@ -496,7 +506,8 @@ def save_checkpoint(path, params: DrnnParams) -> None:
             "shape": list(shape),
             "data": [float(v) for v in array.ravel()],
         }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with seqio.atomic_open(path) as fh:
+        fh.write(json.dumps(payload))
 
 
 def load_checkpoint(path) -> DrnnParams:

@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import drnn, skeleton
+from . import drnn, seqio, skeleton
 from .errors import (
     ConfigurationError,
     DataError,
@@ -676,7 +676,8 @@ def fit_fusion_models(
 
 
 def write_gate(path, gate: GateModel) -> None:
-    Path(path).write_text(json.dumps(gate.to_json_dict()), encoding="utf-8")
+    with seqio.atomic_open(path) as fh:
+        fh.write(json.dumps(gate.to_json_dict()))
 
 
 def _read_object(path, keys: tuple[str, ...]) -> dict:
@@ -716,7 +717,8 @@ def write_covariances(path, measurement_noise, process_noise) -> None:
         "R": [float(v) for v in np.asarray(measurement_noise)],
         "Q": [float(v) for v in np.asarray(process_noise)],
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with seqio.atomic_open(path) as fh:
+        fh.write(json.dumps(payload))
 
 
 def read_covariances(path) -> tuple[np.ndarray, np.ndarray]:

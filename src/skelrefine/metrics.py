@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import seqio
 from .errors import DimensionError, EncodingError, InsufficientFramesError
 from .skeleton import N_JOINTS, POSE_DIM, Encoding, SkeletonSequence
 
@@ -128,8 +128,7 @@ def histogram_bin_edges() -> list[tuple[float, float]]:
 
 
 def write_histogram_csv(path, report: EvalReport) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with seqio.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lower", "bin_upper", "value"])
         for (lower, upper), value in zip(histogram_bin_edges(), report.histogram):

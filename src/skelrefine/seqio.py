@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,27 +28,34 @@ CSV_COLUMNS = ["frame"] + [
 ]
 
 
-def write_sequence(path, seq: SkeletonSequence) -> None:
-    """Write a sequence file atomically.
+@contextmanager
+def atomic_open(path, newline: str | None = None):
+    """Open a text file for writing atomically.
 
-    The file is written beside its destination under a temporary name and
-    renamed into place, so a failed write leaves any previous file intact
-    and no partial file behind.
+    The content goes to a temporary file beside path, which is renamed into
+    place when the block completes, so a failed write leaves any previous
+    file intact and no partial file behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
-    header = {"frame_rate_hz": seq.frame_rate_hz, "encoding": seq.encoding.value}
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-            # tolist() gives the Python floats float(v) gives, so the bytes
-            # match a per-element conversion
-            for t, row in enumerate(seq.data.tolist()):
-                fh.write(json.dumps({"t": t, "joints": row}) + "\n")
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_sequence(path, seq: SkeletonSequence) -> None:
+    """Write a sequence file atomically (see atomic_open)."""
+    header = {"frame_rate_hz": seq.frame_rate_hz, "encoding": seq.encoding.value}
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(header) + "\n")
+        # tolist() gives the Python floats float(v) gives, so the bytes
+        # match a per-element conversion
+        for t, row in enumerate(seq.data.tolist()):
+            fh.write(json.dumps({"t": t, "joints": row}) + "\n")
 
 
 def read_sequence(path) -> SkeletonSequence:

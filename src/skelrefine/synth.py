@@ -379,7 +379,10 @@ class Corpus:
 
 
 def split_frame_counts(total: int, ratios) -> tuple[int, int, int]:
-    ratios = tuple(float(r) for r in ratios)
+    try:
+        ratios = tuple(float(r) for r in ratios)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"split_ratios must be 3 numbers, got {ratios!r}") from exc
     if len(ratios) != 3:
         raise ConfigurationError("split_ratios must have exactly 3 entries")
     if any(r <= 0 for r in ratios):

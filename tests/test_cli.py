@@ -137,6 +137,79 @@ class TestSynthCommand:
         assert a != b
 
 
+# each edit of TOY_CONFIG that load_config must refuse with exit 1 and one line
+BAD_CONFIG_EDITS = {
+    "max_iterations_string": lambda c: c["pdrnn"].update(max_iterations="x"),
+    "max_iterations_fraction": lambda c: c["vdrnn"].update(max_iterations=1.5),
+    "split_ratios_string": lambda c: c["corpus"].update(split_ratios="abc"),
+    "split_ratios_number": lambda c: c["corpus"].update(split_ratios=5),
+    "corruption_list": lambda c: c["corpus"].update(corruption=[1]),
+    "network_block_list": lambda c: c.update(vdrnn=[1, 2]),
+    "paths_corpus_number": lambda c: c["paths"].update(corpus=3),
+    "paths_models_null": lambda c: c["paths"].update(models=None),
+    "variants_number": lambda c: c.update(variants=5),
+    "variants_nested_list": lambda c: c.update(variants=[["raw"]]),
+    "k_fraction": lambda c: c["fusion"].update(k=1.5),
+    "k_boolean": lambda c: c["fusion"].update(k=True),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_CONFIG_EDITS)
+def test_malformed_config_is_one_line_usage_error(tmp_path, capsys, edit):
+    config = json.loads(json.dumps(TOY_CONFIG))
+    BAD_CONFIG_EDITS[edit](config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run("train", "--config", path, "--which", "pdrnn")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _DiskFull:
+    """A file handle that writes half of what it is given, then fails as a
+    full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("artifact,which", [
+    ("pdrnn.json", "pdrnn"), ("pdrnn_loss.csv", "pdrnn"), ("kalman.json", "vdrnn_plus"),
+])
+def test_failed_artifact_write_keeps_the_previous_file(workspace, monkeypatch, artifact, which):
+    tmp_path, config = workspace
+    assert run("synth", "--config", config) == 0
+    for name in ("pdrnn", "vdrnn", "vdrnn_plus"):
+        assert run("train", "--config", config, "--which", name) == 0
+    models = tmp_path / "models"
+    before = {path.name: path.read_bytes() for path in models.iterdir()}
+
+    real_open = Path.open
+
+    def failing_open(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return _DiskFull(fh) if self.name == f".{artifact}.tmp" else fh
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    with pytest.raises(OSError, match="No space left"):
+        run("train", "--config", config, "--which", which)
+    # training is deterministic, so what was rewritten before the failure
+    # has the same bytes; the failed file is the previous one, and no
+    # temporary file is left
+    assert {path.name: path.read_bytes() for path in models.iterdir()} == before
+
+
 class TestTrainCommand:
     @pytest.mark.parametrize("which,trained,missing", [
         ("vdrnn", (), "pdrnn"), ("vdrnn_plus", ("pdrnn",), "vdrnn"),
@@ -168,8 +241,27 @@ class TestTrainCommand:
                 rows = list(csv.reader(fh))
             assert rows[0][0] == "iteration"
             assert len(rows) - 1 == summary["iterations"] + 1
+            assert summary["evaluations"] >= summary["iterations"] + 1
         # the vdrnn_plus stage persists the fitted covariances
         assert (tmp_path / "models" / "kalman.json").exists()
+
+
+    def test_summary_counts_loss_and_gradient_evaluations(self, workspace, capsys,
+                                                          monkeypatch):
+        _, config = workspace
+        assert run("synth", "--config", config) == 0
+        calls = []
+        loss_and_gradient = drnn.loss_and_gradient
+
+        def counting(params, batch):
+            calls.append(1)
+            return loss_and_gradient(params, batch)
+
+        monkeypatch.setattr(drnn, "loss_and_gradient", counting)
+        capsys.readouterr()
+        assert run("train", "--config", config, "--which", "pdrnn") == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["evaluations"] == len(calls) > summary["iterations"]
 
 
 class TestRefineAndEval:

@@ -3,6 +3,7 @@ import pytest
 
 from skelrefine import optim
 from skelrefine.drnn import (
+    _forward_batch,
     DrnnConfig,
     DrnnParams,
     TrainingBatch,
@@ -231,9 +232,7 @@ class TestGradient:
         params = init_params(cfg)
         rng = np.random.default_rng(4)
         inputs = rng.normal(size=(3, 3, 3))
-        outputs, _, _ = __import__("skelrefine.drnn", fromlist=["_forward_batch"])._forward_batch(
-            params, inputs
-        )
+        outputs, _, _ = _forward_batch(params, inputs)
         loss, grads = loss_and_gradient(params, TrainingBatch(inputs, outputs))
         assert loss == 0.0
         assert np.array_equal(pack_params(grads), np.zeros_like(pack_params(params)))
@@ -272,6 +271,146 @@ class TestGradient:
         params = init_params(cfg)
         with pytest.raises(DimensionError):
             loss_and_gradient(params, TrainingBatch(np.ones((2, 3, 5)), np.ones((2, 3, 2))))
+
+
+def reference_loss_and_gradient(params, batch):
+    """The copy-based BPTT that the slab rewrite replaced, kept verbatim as a
+    bit-identity reference: the forward pass copies each step's activations
+    and entering hidden state into strided (batch, time, size) caches, and
+    the backward pass allocates every intermediate afresh."""
+    cfg = params.config
+    x, target = batch.inputs, batch.targets
+    n_batch, n_time, _ = x.shape
+    n_layers = len(cfg.hidden_sizes)
+    rec = cfg.recurrent_layer_index - 1
+    h = np.zeros((n_batch, cfg.recurrent_size))
+    acts = [np.empty((n_batch, n_time, s)) for s in cfg.hidden_sizes]
+    h_prev = np.empty((n_batch, n_time, cfg.recurrent_size))
+    outputs = np.empty((n_batch, n_time, cfg.output_dim))
+    for t in range(n_time):
+        a = x[:, t, :]
+        for layer in range(n_layers):
+            pre = a @ params.inter[layer]
+            pre += params.biases[layer]
+            if layer == rec:
+                h_prev[:, t, :] = h
+                pre += h @ params.recurrent
+            a = np.maximum(pre, 0.0, out=pre)
+            if layer == rec:
+                h = a
+            acts[layer][:, t, :] = a
+        outputs[:, t, :] = a @ params.out_weight + params.out_bias
+    diff = outputs - target
+    loss = float(np.vdot(diff, diff))
+
+    grads = zeros_like_params(params)
+    d_out = 2.0 * diff
+    dh_carry = np.zeros((n_batch, cfg.recurrent_size))
+    for t in range(n_time - 1, -1, -1):
+        dy = d_out[:, t, :]
+        grads.out_weight += acts[n_layers - 1][:, t, :].T @ dy
+        grads.out_bias += dy.sum(axis=0)
+        da = dy @ params.out_weight.T
+        for layer in range(n_layers - 1, -1, -1):
+            a_layer = acts[layer][:, t, :]
+            if layer == rec:
+                da = da + dh_carry
+            dpre = da * (a_layer > 0.0)
+            below = acts[layer - 1][:, t, :] if layer > 0 else x[:, t, :]
+            grads.inter[layer] += below.T @ dpre
+            grads.biases[layer] += dpre.sum(axis=0)
+            if layer == rec:
+                grads.recurrent += h_prev[:, t, :].T @ dpre
+                dh_carry = dpre @ params.recurrent.T
+            da = dpre @ params.inter[layer].T
+    return loss, grads
+
+
+def random_instance(rng, hidden_sizes, recurrent_layer_index, window_length, n_windows,
+                    input_dim=5, output_dim=4, views=False):
+    """A network with randomized biases plus a batch; with views, the batch is
+    read-only make_windows views of two streams, as training builds it."""
+    cfg = DrnnConfig(input_dim=input_dim, output_dim=output_dim, hidden_sizes=hidden_sizes,
+                     recurrent_layer_index=recurrent_layer_index,
+                     window_length=window_length, seed=int(rng.integers(0, 10**6)))
+    params = init_params(cfg)
+    for i in range(len(params.biases)):
+        params.biases[i] = rng.normal(scale=0.3, size=params.biases[i].shape)
+    params.out_bias = rng.normal(scale=0.3, size=params.out_bias.shape)
+    if views:
+        n_frames = n_windows + window_length - 1
+        batch = batch_from_streams(rng.normal(size=(n_frames, input_dim)),
+                                   rng.normal(size=(n_frames, output_dim)), window_length)
+    else:
+        batch = TrainingBatch(rng.normal(size=(n_windows, window_length, input_dim)),
+                              rng.normal(size=(n_windows, window_length, output_dim)))
+    return params, batch
+
+
+BIT_IDENTITY_CASES = {
+    # hidden_sizes, recurrent_layer_index, window_length, n_windows, views
+    "recurrent_first": ((6, 7, 5), 1, 4, 3, False),
+    "recurrent_middle": ((6, 7, 5), 2, 4, 3, False),
+    "recurrent_last": ((6, 7, 5), 3, 4, 3, False),
+    "one_layer": ((8,), 1, 5, 4, False),
+    "window_two": ((6, 5), 2, 2, 6, False),
+    "window_views": ((6, 7, 5), 2, 6, 9, True),
+    "blas_sized_views": ((64, 48, 64), 2, 7, 300, True),
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("case", BIT_IDENTITY_CASES)
+    def test_matches_copy_based_reference(self, case):
+        hidden_sizes, rec, window, n_windows, views = BIT_IDENTITY_CASES[case]
+        rng = np.random.default_rng(sum(map(ord, case)))
+        params, batch = random_instance(rng, hidden_sizes, rec, window, n_windows, views=views)
+        loss, grads = loss_and_gradient(params, batch)
+        want_loss, want_grads = reference_loss_and_gradient(params, batch)
+        assert loss == want_loss
+        assert np.array_equal(pack_params(grads), pack_params(want_grads))
+
+    def test_matches_reference_on_random_configs(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(25):
+            n_layers = int(rng.integers(1, 5))
+            hidden_sizes = tuple(int(h) for h in rng.integers(1, 20, size=n_layers))
+            params, batch = random_instance(
+                rng, hidden_sizes, int(rng.integers(1, n_layers + 1)),
+                int(rng.integers(2, 9)), int(rng.integers(1, 40)),
+                input_dim=int(rng.integers(1, 10)), output_dim=int(rng.integers(1, 10)),
+                views=bool(rng.integers(0, 2)),
+            )
+            loss, grads = loss_and_gradient(params, batch)
+            want_loss, want_grads = reference_loss_and_gradient(params, batch)
+            assert loss == want_loss
+            assert np.array_equal(pack_params(grads), pack_params(want_grads))
+
+    @pytest.mark.parametrize("case", BIT_IDENTITY_CASES)
+    def test_cached_and_uncached_forward_agree_bitwise(self, case):
+        hidden_sizes, rec, window, n_windows, views = BIT_IDENTITY_CASES[case]
+        rng = np.random.default_rng(sum(map(ord, case)) + 1)
+        params, batch = random_instance(rng, hidden_sizes, rec, window, n_windows, views=views)
+        h0 = rng.normal(size=(n_windows, params.config.recurrent_size))
+        for start in (None, h0):
+            cached, h_cached, acts = _forward_batch(params, batch.inputs, start, keep_cache=True)
+            plain, h_plain, none = _forward_batch(params, batch.inputs, start)
+            assert none is None
+            assert [a.shape for a in acts] == [(window, n_windows, s) for s in hidden_sizes]
+            assert np.array_equal(cached, plain)
+            assert np.array_equal(h_cached, h_plain)
+        # loss_value and run_stream take the uncached path
+        assert loss_value(params, batch) == loss_and_gradient(params, batch)[0]
+
+    @pytest.mark.parametrize("views", [False, True], ids=["arrays", "window_views"])
+    def test_batch_left_unchanged(self, views):
+        rng = np.random.default_rng(31)
+        params, batch = random_instance(rng, (6, 7, 5), 2, 5, 8, views=views)
+        inputs, targets = batch.inputs.copy(), batch.targets.copy()
+        loss_and_gradient(params, batch)
+        loss_value(params, batch)
+        assert np.array_equal(batch.inputs, inputs)
+        assert np.array_equal(batch.targets, targets)
 
 
 class TestWindows:
