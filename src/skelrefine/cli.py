@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import drnn, fusion, metrics, seqio, synth
 from .errors import ConfigurationError, DependencyError, NumericalError, SkelRefineError
-from .optim import OptimizerSpec
+from .optim import OptimizerSpec, whole_count
 from .skeleton import DEFAULT_TREE
 
 _DEFAULT_WINDOWS = {"pdrnn": drnn.POSITION_WINDOW, "vdrnn": drnn.VELOCITY_WINDOW,
@@ -61,15 +61,6 @@ def _fraction(fusion_raw: dict, key: str) -> float:
     if not 0.0 <= value < 1.0:
         raise ConfigurationError(f"fusion {key} must be a number in [0, 1), got {raw!r}")
     return value
-
-
-def _count(raw, what: str) -> int:
-    """A whole number of at least 1: a JSON integer, or a number with an
-    integral value."""
-    whole = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
-    if isinstance(raw, bool) or not whole or raw < 1:
-        raise ConfigurationError(f"{what} must be a whole number of at least 1, got {raw!r}")
-    return int(raw)
 
 
 def load_config(path, seed_override: int | None = None) -> PipelineConfig:
@@ -120,7 +111,7 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
         block = dict(block)
         iterations = block.pop("max_iterations", None)
         if iterations is not None:
-            network_iterations[name] = _count(iterations, f"{name} max_iterations")
+            network_iterations[name] = whole_count(iterations, f"{name} max_iterations")
         block.setdefault("input_dim", 48)
         block.setdefault("output_dim", 48)
         block.setdefault("hidden_sizes", [256, 256, 256])
@@ -140,7 +131,7 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     fusion_raw = raw.get("fusion", {})
     if not isinstance(fusion_raw, dict):
         raise ConfigurationError("fusion section must be an object")
-    knn_k = _count(fusion_raw.get("k", 300), "fusion k")
+    knn_k = whole_count(fusion_raw.get("k", 300), "fusion k")
     theta = _fraction(fusion_raw, "theta")
     theta_plus = _fraction(fusion_raw, "theta_plus")
 

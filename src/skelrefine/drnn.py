@@ -10,7 +10,8 @@ backpropagation through the whole window.
 Two application wrappers cover the refinement roles: position denoising
 (parent-relative encoding in and out) and velocity denoising. At inference
 the hidden state is carried across the entire sequence; windows only bound
-the training horizon.
+the training horizon. Every window and every stream starts from a zero
+recurrent state.
 """
 
 from __future__ import annotations
@@ -115,16 +116,6 @@ class DrnnParams:
     out_weight: np.ndarray
     out_bias: np.ndarray
 
-    def copy(self) -> "DrnnParams":
-        return DrnnParams(
-            self.config,
-            [u.copy() for u in self.inter],
-            [b.copy() for b in self.biases],
-            self.recurrent.copy(),
-            self.out_weight.copy(),
-            self.out_bias.copy(),
-        )
-
 
 def _expected_shapes(config: DrnnConfig) -> list[tuple[str, tuple[int, ...]]]:
     sizes = (config.input_dim, *config.hidden_sizes)
@@ -137,6 +128,19 @@ def _expected_shapes(config: DrnnConfig) -> list[tuple[str, tuple[int, ...]]]:
     shapes.append(("out_weight", (config.hidden_sizes[-1], config.output_dim)))
     shapes.append(("out_bias", (config.output_dim,)))
     return shapes
+
+
+def _params_from_arrays(config: DrnnConfig, arrays: dict[str, np.ndarray]) -> DrnnParams:
+    """DrnnParams from arrays named as _expected_shapes names them."""
+    layers = range(1, len(config.hidden_sizes) + 1)
+    return DrnnParams(
+        config,
+        [arrays[f"inter_{l}"] for l in layers],
+        [arrays[f"bias_{l}"] for l in layers],
+        arrays["recurrent"],
+        arrays["out_weight"],
+        arrays["out_bias"],
+    )
 
 
 def init_params(config: DrnnConfig) -> DrnnParams:
@@ -194,30 +198,21 @@ def unpack_params(config: DrnnConfig, vector: np.ndarray) -> DrnnParams:
         size = int(np.prod(shape))
         arrays[name] = vector[offset : offset + size].reshape(shape).copy()
         offset += size
-    n_layers = len(config.hidden_sizes)
-    return DrnnParams(
-        config,
-        [arrays[f"inter_{l}"] for l in range(1, n_layers + 1)],
-        [arrays[f"bias_{l}"] for l in range(1, n_layers + 1)],
-        arrays["recurrent"],
-        arrays["out_weight"],
-        arrays["out_bias"],
-    )
+    return _params_from_arrays(config, arrays)
 
 
-def _forward_batch(params: DrnnParams, inputs: np.ndarray, h0: np.ndarray | None = None,
-                   keep_cache: bool = False):
+def _forward_batch(params: DrnnParams, inputs: np.ndarray, keep_cache: bool = False):
     """Batched forward pass over (batch, time, input_dim) windows.
 
-    Returns (outputs, final_hidden, acts). With keep_cache, acts holds one
-    time-major (time, batch, size) activation slab per hidden layer: each
-    step's layer GEMM writes straight into the step's row, the bias, the
-    recurrent term and the ReLU are applied there in place, and the
-    recurrent layer's state entering step t is row t - 1 of its slab (h0 at
-    t = 0). Without keep_cache, acts is None and each step's activations are
-    fresh arrays, dropped as soon as the next layer has read them. Both ways
-    compute the same operations on the same operands, so the outputs agree
-    bit for bit.
+    Every window starts from a zero recurrent state. Returns (outputs,
+    acts). With keep_cache, acts holds one time-major (time, batch, size)
+    activation slab per hidden layer: each step's layer GEMM writes straight
+    into the step's row, the bias, the recurrent term and the ReLU are
+    applied there in place, and the recurrent layer's state entering step t
+    is row t - 1 of its slab (zeros at t = 0). Without keep_cache, acts is
+    None and each step's activations are fresh arrays, dropped as soon as
+    the next layer has read them. Both ways compute the same operations on
+    the same operands, so the outputs agree bit for bit.
     """
     cfg = params.config
     x = np.asarray(inputs, dtype=np.float64)
@@ -229,14 +224,7 @@ def _forward_batch(params: DrnnParams, inputs: np.ndarray, h0: np.ndarray | None
     if n_time < 1:
         raise DimensionError("window must contain at least one frame")
     rec = cfg.recurrent_layer_index - 1
-    if h0 is None:
-        h = np.zeros((n_batch, cfg.recurrent_size))
-    else:
-        h = np.asarray(h0, dtype=np.float64)
-        if h.shape != (n_batch, cfg.recurrent_size):
-            raise DimensionError(
-                f"h0 must have shape ({n_batch}, {cfg.recurrent_size}), got {h.shape}"
-            )
+    h = np.zeros((n_batch, cfg.recurrent_size))
     acts = [np.empty((n_time, n_batch, size)) for size in cfg.hidden_sizes] if keep_cache else None
     outputs = np.empty((n_batch, n_time, cfg.output_dim))
     for t in range(n_time):
@@ -251,28 +239,7 @@ def _forward_batch(params: DrnnParams, inputs: np.ndarray, h0: np.ndarray | None
                 h = a
         y = np.matmul(a, params.out_weight, out=outputs[:, t, :])
         y += params.out_bias
-    return outputs, h, acts
-
-
-def forward(params: DrnnParams, window, h0=None) -> tuple[np.ndarray, np.ndarray]:
-    """Run one window of frames; returns (outputs, final hidden state).
-
-    window is (time, input_dim); h0 is the recurrent layer's entering state,
-    zeros when omitted.
-    """
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2:
-        raise DimensionError(f"window must be 2-D (time, features), got {w.shape}")
-    h = None
-    if h0 is not None:
-        h = np.asarray(h0, dtype=np.float64)
-        if h.shape != (params.config.recurrent_size,):
-            raise DimensionError(
-                f"h0 must have shape ({params.config.recurrent_size},), got {h.shape}"
-            )
-        h = h[None]
-    outputs, h_final, _ = _forward_batch(params, w[None], h)
-    return outputs[0], h_final[0]
+    return outputs, acts
 
 
 def run_stream(params: DrnnParams, stream) -> np.ndarray:
@@ -280,7 +247,7 @@ def run_stream(params: DrnnParams, stream) -> np.ndarray:
     s = np.asarray(stream, dtype=np.float64)
     if s.ndim != 2:
         raise DimensionError(f"stream must be 2-D, got {s.shape}")
-    outputs, _, _ = _forward_batch(params, s[None])
+    outputs, _ = _forward_batch(params, s[None])
     return outputs[0]
 
 
@@ -357,7 +324,7 @@ def _check_batch(config: DrnnConfig, batch: TrainingBatch) -> None:
 def loss_value(params: DrnnParams, batch: TrainingBatch) -> float:
     """Sum of squared output errors over the whole batch."""
     _check_batch(params.config, batch)
-    outputs, _, _ = _forward_batch(params, batch.inputs)
+    outputs, _ = _forward_batch(params, batch.inputs)
     diff = outputs - batch.targets
     return float(np.vdot(diff, diff))
 
@@ -376,7 +343,7 @@ def loss_and_gradient(params: DrnnParams, batch: TrainingBatch) -> tuple[float, 
     cfg = params.config
     _check_batch(cfg, batch)
     x, target = batch.inputs, batch.targets
-    diff, _, acts = _forward_batch(params, x, keep_cache=True)
+    diff, acts = _forward_batch(params, x, keep_cache=True)
     diff -= target
     loss = float(np.vdot(diff, diff))
     if not np.isfinite(loss):
@@ -549,12 +516,4 @@ def load_checkpoint(path) -> DrnnParams:
         if not np.all(np.isfinite(data)):
             raise DataError(f"{path}: array {name!r} contains non-finite values")
         loaded[name] = data.reshape(shape)
-    n_layers = len(config.hidden_sizes)
-    return DrnnParams(
-        config,
-        [loaded[f"inter_{l}"] for l in range(1, n_layers + 1)],
-        [loaded[f"bias_{l}"] for l in range(1, n_layers + 1)],
-        loaded["recurrent"],
-        loaded["out_weight"],
-        loaded["out_bias"],
-    )
+    return _params_from_arrays(config, loaded)

@@ -105,19 +105,6 @@ class GateModel:
         """Boolean mask over (..., 48) absolute deviations."""
         return np.asarray(deviation, dtype=np.float64) < self._thresholds
 
-    def tail_probability(self, deviation) -> np.ndarray:
-        from scipy import special
-
-        d = np.asarray(deviation, dtype=np.float64)
-        return special.erfc(d / np.sqrt(2.0 * self.sigma2))
-
-    def to_json_dict(self) -> dict:
-        return {"sigma2": [float(v) for v in self.sigma2], "theta": self.theta}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GateModel":
-        return cls(np.asarray(data["sigma2"], dtype=np.float64), float(data["theta"]))
-
 
 def estimate_gate(validation_residuals, theta: float = 0.05) -> GateModel:
     """Fit per-component variances from residuals, mean pinned at 0.
@@ -478,18 +465,18 @@ class Variant:
     gate: str | None = None
     theta: str = "theta"  # the fit_fusion_models argument the gate takes
     noise: tuple[str, str] | None = None  # (R, Q)
-    noise_velocity: str | None = None  # the stream Q is fitted on
     anchor_on_query: bool = False  # see _sknn_track
 
 
 # The one place the pipeline is wired. A store, gate or noise is fitted from
 # the first row that names it, so rows sharing one must agree on its streams.
+# A gate is fitted on the row's query and velocity streams; noise fits R on
+# the query stream and Q on the velocity stream, the filter's own control.
 VARIANTS: dict[str, Variant] = {
     "raw": Variant("raw"),
     "pdrnn": Variant("refined"),
     "sknn": Variant("refined", "refined_vel", store="store", gate="gate"),
-    "kf": Variant("refined", "refined_vel", noise=("kalman_r", "kalman_q"),
-                  noise_velocity="refined_vel"),
+    "kf": Variant("refined", "refined_vel", noise=("kalman_r", "kalman_q")),
     "sknnkf": Variant("states", "states_vel", store="store_plus", gate="gate_plus",
                       theta="theta_plus"),
     "sknn_minus_pdrnn": Variant("raw", "raw_vel", store="store_raw", gate="gate_raw"),
@@ -497,10 +484,7 @@ VARIANTS: dict[str, Variant] = {
                                 gate="gate_unrefined_velocity"),
     "naive_sknn": Variant("refined", "refined_vel", store="store", gate="gate",
                           anchor_on_query=True),
-    # Q is fitted on the unrefined velocities, while the filter's control is
-    # the vdrnn-refined one
-    "kf_minus_pdrnn": Variant("raw", "raw_vel", noise=("kalman_r_raw", "kalman_q_raw"),
-                              noise_velocity="raw_diff"),
+    "kf_minus_pdrnn": Variant("raw", "raw_vel", noise=("kalman_r_raw", "kalman_q_raw")),
 }
 
 PIPELINE_VARIANTS = tuple(VARIANTS)
@@ -668,27 +652,11 @@ def fit_fusion_models(
         else:
             noise = estimate_noise_covariances(
                 clean_val - val[spec.query],
-                velocities(corpus.validation.clean) - val[spec.noise_velocity],
+                velocities(corpus.validation.clean) - val[spec.velocity],
             )
             for attr, value in zip(spec.noise, noise):
                 setattr(models, attr, value)
     return models
-
-
-def write_gate(path, gate: GateModel) -> None:
-    with seqio.atomic_open(path) as fh:
-        fh.write(json.dumps(gate.to_json_dict()))
-
-
-def _read_object(path, keys: tuple[str, ...]) -> dict:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(data, dict) or any(key not in data for key in keys):
-        raise DataError(f"{path} must be a JSON object with keys {', '.join(keys)}")
-    return data
 
 
 def _diagonal(path, data: dict, key: str) -> np.ndarray:
@@ -704,14 +672,6 @@ def _diagonal(path, data: dict, key: str) -> np.ndarray:
     return arr
 
 
-def read_gate(path) -> GateModel:
-    data = _read_object(path, ("sigma2", "theta"))
-    try:
-        return GateModel.from_json_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
 def write_covariances(path, measurement_noise, process_noise) -> None:
     payload = {
         "R": [float(v) for v in np.asarray(measurement_noise)],
@@ -722,5 +682,11 @@ def write_covariances(path, measurement_noise, process_noise) -> None:
 
 
 def read_covariances(path) -> tuple[np.ndarray, np.ndarray]:
-    data = _read_object(path, ("R", "Q"))
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict) or "R" not in data or "Q" not in data:
+        raise DataError(f"{path} must be a JSON object with keys R, Q")
     return _diagonal(path, data, "R"), _diagonal(path, data, "Q")

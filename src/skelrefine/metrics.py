@@ -40,19 +40,13 @@ def ape(pred: SkeletonSequence, truth: SkeletonSequence) -> float:
     return float(np.linalg.norm(diff, axis=2).mean())
 
 
-def jerk(seq: SkeletonSequence, per_second: bool = False) -> np.ndarray:
-    """Backward third difference of each coordinate, (len(seq) - 3, 48).
-
-    Units are meters per frame cubed; per_second rescales by the cube of the
-    frame rate for physical reporting.
-    """
+def jerk(seq: SkeletonSequence) -> np.ndarray:
+    """Backward third difference of each coordinate, (len(seq) - 3, 48), in
+    meters per frame cubed."""
     if len(seq) < 4:
         raise InsufficientFramesError("jerk needs at least 4 frames")
     a = seq.data
-    out = a[3:] - 3.0 * a[2:-1] + 3.0 * a[1:-2] - a[:-3]
-    if per_second:
-        out = out * seq.frame_rate_hz**3
-    return out
+    return a[3:] - 3.0 * a[2:-1] + 3.0 * a[1:-2] - a[:-3]
 
 
 def jerk_error(pred: SkeletonSequence, truth: SkeletonSequence) -> np.ndarray:
@@ -73,11 +67,14 @@ def aje_histogram(pred: SkeletonSequence, truth: SkeletonSequence) -> np.ndarray
     above 0.27; M counts all component-frames with a defined jerk, so the ten
     values sum to the overall average jerk error.
     """
-    je = jerk_error(pred, truth)
-    m = je.size
+    return _banded_mass(jerk_error(pred, truth))
+
+
+def _banded_mass(je: np.ndarray) -> np.ndarray:
+    """aje_histogram's bands over a jerk-error array."""
     idx = np.searchsorted(_JERK_EDGES, je.ravel(), side="right")
     sums = np.bincount(idx, weights=je.ravel(), minlength=JERK_BIN_COUNT)
-    return sums / m
+    return sums / je.size
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ def evaluate(pred: SkeletonSequence, truth: SkeletonSequence) -> EvalReport:
     return EvalReport(
         ape=ape(pred, truth),
         aje=float(je.mean()),
-        histogram=tuple(float(v) for v in aje_histogram(pred, truth)),
+        histogram=tuple(float(v) for v in _banded_mass(je)),
         m=int(je.size),
     )
 

@@ -1,9 +1,8 @@
-"""Deterministic full-batch minimizers.
+"""Deterministic full-batch minimizer.
 
-The default is limited-memory BFGS with a strong-Wolfe line search; a
-step-decay gradient-descent fallback is selectable for objectives where the
-line search misbehaves. Both record every accepted iterate through a
-callback and are bit-reproducible for a fixed starting point.
+Limited-memory BFGS with a strong-Wolfe line search. It records every
+accepted iterate through a callback and is bit-reproducible for a fixed
+starting point.
 """
 
 from __future__ import annotations
@@ -19,12 +18,20 @@ from .errors import ConfigurationError, TrainingDivergedError
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
+def whole_count(raw, what: str) -> int:
+    """A whole number of at least 1: a JSON integer, or a number with an
+    integral value."""
+    whole = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not whole or raw < 1:
+        raise ConfigurationError(f"{what} must be a whole number of at least 1, got {raw!r}")
+    return int(raw)
+
+
 @dataclass(frozen=True)
 class OptimizerSpec:
     """Knobs for minimize(); defaults suit sum-of-squares network training.
 
-    method: "lbfgs" (quasi-Newton with strong Wolfe line search) or "gd"
-        (gradient descent with step decay).
+    method: "lbfgs", the only method; kept so that configs may name it.
     grad_tolerance: stop when the max-abs gradient entry falls below this.
     loss_tolerance: stop when the relative per-step loss decrease falls
         below this.
@@ -38,20 +45,19 @@ class OptimizerSpec:
     wolfe_c1: float = 1e-4
     wolfe_c2: float = 0.9
     max_line_search_evals: int = 25
-    learning_rate: float = 1e-3  # gd only
-    learning_rate_decay: float = 0.0  # gd only
 
     def __post_init__(self):
-        if self.method not in ("lbfgs", "gd"):
+        if self.method != "lbfgs":
             raise ConfigurationError(f"unknown optimizer method {self.method!r}")
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be at least 1")
-        if self.history_size < 1:
-            raise ConfigurationError("history_size must be at least 1")
+        for name in ("max_iterations", "history_size", "max_line_search_evals"):
+            object.__setattr__(self, name, whole_count(getattr(self, name), f"optimizer {name}"))
+        for name in ("grad_tolerance", "loss_tolerance", "wolfe_c1", "wolfe_c2"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigurationError(f"optimizer {name} must be a finite number, got {value!r}")
         if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
             raise ConfigurationError("need 0 < wolfe_c1 < wolfe_c2 < 1")
-        if self.learning_rate <= 0.0:
-            raise ConfigurationError("learning_rate must be positive")
 
 
 @dataclass
@@ -159,7 +165,19 @@ def _strong_wolfe(
     return None
 
 
-def _minimize_lbfgs(objective, x0, spec, callback):
+def minimize(
+    objective: Objective,
+    x0: np.ndarray,
+    spec: OptimizerSpec | None = None,
+    callback: Callable[[int, float, np.ndarray], None] | None = None,
+) -> MinimizeResult:
+    """Minimize objective(x) -> (loss, gradient) from x0.
+
+    The callback, when given, receives (iteration, loss, x) for the starting
+    point (iteration 0) and for every accepted iterate. Raises
+    TrainingDivergedError if an accepted loss turns non-finite.
+    """
+    spec = spec or OptimizerSpec()
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = objective(x)
     evals = 1
@@ -269,65 +287,3 @@ def _two_loop(g, s_hist, y_hist, rho_hist) -> np.ndarray:
         b = rho * float(y @ q)
         q += (a - b) * s
     return q
-
-
-def _minimize_gd(objective, x0, spec, callback):
-    x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = objective(x)
-    evals = 1
-    if not math.isfinite(f):
-        raise TrainingDivergedError(0, "initial loss is not finite")
-    if callback is not None:
-        callback(0, f, x)
-
-    converged = False
-    message = "iteration limit reached"
-    iteration = 0
-    for iteration in range(1, spec.max_iterations + 1):
-        g_inf = float(np.max(np.abs(g)))
-        if g_inf <= spec.grad_tolerance:
-            converged = True
-            message = "gradient tolerance reached"
-            iteration -= 1
-            break
-        step = spec.learning_rate / (1.0 + spec.learning_rate_decay * (iteration - 1))
-        x = x - step * g
-        f_prev = f
-        f, g = objective(x)
-        evals += 1
-        if not math.isfinite(f):
-            raise TrainingDivergedError(iteration)
-        if callback is not None:
-            callback(iteration, f, x)
-        if 0.0 <= f_prev - f <= spec.loss_tolerance * max(1.0, abs(f_prev)):
-            converged = True
-            message = "loss change below tolerance"
-            break
-
-    return MinimizeResult(
-        x=x,
-        loss=f,
-        gradient_inf_norm=float(np.max(np.abs(g))),
-        iterations=iteration,
-        n_evaluations=evals,
-        converged=converged,
-        message=message,
-    )
-
-
-def minimize(
-    objective: Objective,
-    x0: np.ndarray,
-    spec: OptimizerSpec | None = None,
-    callback: Callable[[int, float, np.ndarray], None] | None = None,
-) -> MinimizeResult:
-    """Minimize objective(x) -> (loss, gradient) from x0.
-
-    The callback, when given, receives (iteration, loss, x) for the starting
-    point (iteration 0) and for every accepted iterate. Raises
-    TrainingDivergedError if an accepted loss turns non-finite.
-    """
-    spec = spec or OptimizerSpec()
-    if spec.method == "lbfgs":
-        return _minimize_lbfgs(objective, x0, spec, callback)
-    return _minimize_gd(objective, x0, spec, callback)

@@ -2,14 +2,12 @@
 
 A sequence file is line-delimited JSON: a header object
 ``{"frame_rate_hz": 30.0, "encoding": "absolute"}`` followed by one record
-``{"t": i, "joints": [48 floats]}`` per frame, in frame order. A CSV export
-with 49 columns (frame index plus the 48 coordinates) is provided for
-plotting.
+``{"t": i, "joints": [48 floats]}`` per frame, in frame order. Files are
+written atomically (see atomic_open).
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import os
@@ -19,13 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .skeleton import POSE_DIM, Encoding, JointId, SkeletonSequence
-
-_AXES = ("x", "y", "z")
-
-CSV_COLUMNS = ["frame"] + [
-    f"{joint.name.lower()}_{axis}" for joint in JointId for axis in _AXES
-]
+from .skeleton import POSE_DIM, Encoding, SkeletonSequence
 
 
 @contextmanager
@@ -130,13 +122,3 @@ def _finite_rows(frames: list) -> np.ndarray | None:
     if data.shape != (len(frames), POSE_DIM) or not np.isfinite(data).all():
         return None
     return data
-
-
-def write_csv(path, seq: SkeletonSequence) -> None:
-    """49-column CSV export: frame index plus all 48 coordinates."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for t in range(len(seq)):
-            writer.writerow([t] + [repr(float(v)) for v in seq.data[t]])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -100,13 +100,6 @@ class KinematicTree:
         """All joints, root first, every parent before its children."""
         return self._topo
 
-    def depth_of(self, joint: JointId) -> int:
-        depth = 0
-        while joint != self.root:
-            joint = self.parent[joint]
-            depth += 1
-        return depth
-
 
 DEFAULT_TREE = KinematicTree(
     {
@@ -152,9 +145,6 @@ class SkeletonPose:
             self, "coords", _frozen_array(self.coords, (POSE_DIM,), "pose")
         )
 
-    def joint(self, joint: JointId) -> np.ndarray:
-        return self.coords[joint_slice(joint)]
-
 
 @dataclass(frozen=True)
 class SkeletonSequence:
@@ -180,24 +170,9 @@ class SkeletonSequence:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def pose(self, t: int) -> SkeletonPose:
-        return SkeletonPose(self.data[t], self.encoding)
-
     def with_data(self, data) -> "SkeletonSequence":
         """Same encoding and frame rate, new frame contents."""
         return SkeletonSequence(data, self.encoding, self.frame_rate_hz)
-
-    @classmethod
-    def from_poses(
-        cls, poses: Iterable[SkeletonPose], frame_rate_hz: float = 30.0
-    ) -> "SkeletonSequence":
-        poses = list(poses)
-        if not poses:
-            raise ValueError("need at least one pose")
-        encodings = {p.encoding for p in poses}
-        if len(encodings) != 1:
-            raise EncodingError("all poses in a sequence must share one encoding")
-        return cls(np.stack([p.coords for p in poses]), poses[0].encoding, frame_rate_hz)
 
 
 def relative_coords(coords: np.ndarray, tree: KinematicTree) -> np.ndarray:
@@ -280,10 +255,6 @@ class RigidTransform:
             raise ValueError("rotation must have determinant +1 within 1e-9")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
-
-    def apply(self, points) -> np.ndarray:
-        """Transform (..., 3) points: R p + t."""
-        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
 
 def rigid_align(src, dst) -> RigidTransform:

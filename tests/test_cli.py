@@ -13,6 +13,7 @@ import pytest
 import skelrefine
 from skelrefine import cli, drnn, errors, fusion, metrics, seqio, synth
 from skelrefine.cli import main
+from skelrefine.optim import OptimizerSpec
 from skelrefine.skeleton import DEFAULT_TREE, POSE_DIM, Encoding, SkeletonSequence
 
 TOY_CONFIG = {
@@ -151,6 +152,11 @@ BAD_CONFIG_EDITS = {
     "variants_nested_list": lambda c: c.update(variants=[["raw"]]),
     "k_fraction": lambda c: c["fusion"].update(k=1.5),
     "k_boolean": lambda c: c["fusion"].update(k=True),
+    "grad_tolerance_string": lambda c: c["optimizer"].update(grad_tolerance="x"),
+    "history_size_fraction": lambda c: c["optimizer"].update(history_size=2.5),
+    "max_line_search_evals_zero": lambda c: c["optimizer"].update(max_line_search_evals=0),
+    "method_gd": lambda c: c["optimizer"].update(method="gd"),
+    "learning_rate": lambda c: c["optimizer"].update(learning_rate=0.1),
 }
 
 
@@ -164,6 +170,14 @@ def test_malformed_config_is_one_line_usage_error(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_optimizer_method_lbfgs_still_loads(tmp_path):
+    config = json.loads(json.dumps(TOY_CONFIG))
+    config["optimizer"]["method"] = "lbfgs"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.load_config(path).optimizer == OptimizerSpec(max_iterations=10)
 
 
 class _DiskFull:

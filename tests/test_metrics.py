@@ -94,11 +94,6 @@ class TestJerk:
             expected[:, j] = np.convolve(seq.data[:, j], [1.0, -3.0, 3.0, -1.0], "full")[3:20]
         assert np.max(np.abs(jerk(seq) - expected)) < 1e-12
 
-    def test_per_second_scaling(self):
-        rng = np.random.default_rng(7)
-        seq = random_absolute_sequence(rng, 10, frame_rate_hz=30.0)
-        assert np.allclose(jerk(seq, per_second=True), jerk(seq) * 30.0**3, rtol=0, atol=0)
-
     def test_too_short_rejected(self):
         with pytest.raises(InsufficientFramesError):
             jerk(_seq(np.zeros((3, POSE_DIM))))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,12 @@ from skelrefine.errors import ConfigurationError, TrainingDivergedError
 from skelrefine.optim import MinimizeResult, OptimizerSpec, minimize
 
 
-def quadratic(center, scale=1.0):
+def quadratic(center):
     center = np.asarray(center, dtype=float)
 
     def objective(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = x - center
-            return scale * float(d @ d), 2.0 * scale * d
+        d = x - center
+        return float(d @ d), 2.0 * d
 
     return objective
 
@@ -77,32 +78,29 @@ class TestLbfgs:
         with pytest.raises(TrainingDivergedError):
             minimize(bad, np.zeros(2))
 
-
-class TestGradientDescent:
-    def test_quadratic_converges(self):
-        spec = OptimizerSpec(method="gd", max_iterations=2000, learning_rate=0.1)
-        result = minimize(quadratic([1.0, -1.0]), np.zeros(2), spec)
-        assert np.max(np.abs(result.x - [1.0, -1.0])) < 1e-4
-
     def test_divergence_reports_iteration(self):
-        spec = OptimizerSpec(method="gd", max_iterations=200, learning_rate=1e6)
-        with pytest.raises(TrainingDivergedError) as err:
-            minimize(quadratic([0.0], scale=1e12), np.ones(1) * 10.0, spec)
-        assert err.value.iteration >= 1
+        # a quadratic with its minimum at 2 that drops to -inf past 0.5: the
+        # first line search accepts the -inf point
+        def cliff(x):
+            if x[0] > 0.5:
+                return -math.inf, np.zeros_like(x)
+            return float((x[0] - 2.0) ** 2), 2.0 * (x - 2.0)
 
-    def test_step_decay_applied(self):
-        spec = OptimizerSpec(
-            method="gd", max_iterations=5, learning_rate=0.5, learning_rate_decay=1.0
-        )
-        losses = []
-        minimize(quadratic([2.0]), np.zeros(1), spec, callback=lambda i, f, x: losses.append(f))
-        assert losses[-1] < losses[0]
+        with pytest.raises(TrainingDivergedError) as err:
+            minimize(cliff, np.zeros(1))
+        assert err.value.iteration == 1
 
 
 class TestSpecValidation:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigurationError):
             OptimizerSpec(method="adam")
+
+    def test_gradient_descent_is_not_a_method(self):
+        with pytest.raises(ConfigurationError):
+            OptimizerSpec(method="gd")
+        with pytest.raises(TypeError):
+            OptimizerSpec(learning_rate=0.1)
 
     def test_bad_wolfe_constants_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -111,3 +109,24 @@ class TestSpecValidation:
     def test_bad_iteration_count_rejected(self):
         with pytest.raises(ConfigurationError):
             OptimizerSpec(max_iterations=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 2.5), ("history_size", 2.5), ("history_size", 0),
+        ("max_line_search_evals", 0), ("max_line_search_evals", True),
+        ("max_iterations", "3"),
+    ])
+    def test_counts_must_be_whole_numbers_of_at_least_one(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            OptimizerSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["grad_tolerance", "loss_tolerance", "wolfe_c1",
+                                       "wolfe_c2"])
+    @pytest.mark.parametrize("value", ["x", None, math.nan, math.inf, False])
+    def test_tolerances_and_wolfe_constants_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            OptimizerSpec(**{field: value})
+
+    def test_integral_counts_become_ints(self):
+        spec = OptimizerSpec(max_iterations=3.0, history_size=4.0)
+        assert (spec.max_iterations, spec.history_size) == (3, 4)
+        assert type(spec.max_iterations) is int

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from skelrefine import seqio
 from skelrefine.errors import DataError
-from skelrefine.seqio import CSV_COLUMNS, read_sequence, write_csv, write_sequence
+from skelrefine.seqio import read_sequence, write_sequence
 from skelrefine.skeleton import POSE_DIM, Encoding, SkeletonSequence
 
 from conftest import random_absolute_sequence
@@ -127,18 +127,3 @@ def test_malformed_files_rejected(tmp_path, lines):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError):
         read_sequence(path)
-
-
-def test_csv_export_has_49_columns(tmp_path):
-    rng = np.random.default_rng(79)
-    seq = random_absolute_sequence(rng, 5)
-    path = tmp_path / "seq.csv"
-    write_csv(path, seq)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 6
-    header = lines[0].split(",")
-    assert header == CSV_COLUMNS
-    assert len(header) == 49
-    row = lines[1].split(",")
-    assert int(row[0]) == 0
-    assert np.allclose([float(v) for v in row[1:]], seq.data[0], rtol=0, atol=0)
