@@ -118,7 +118,10 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
         block.setdefault("recurrent_layer_index", 2)
         block.setdefault("window_length", _DEFAULT_WINDOWS[name])
         block.setdefault("seed", 0)
-        networks[name] = drnn.DrnnConfig.from_dict(block)
+        try:
+            networks[name] = drnn.DrnnConfig.from_dict(block)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"network block {name!r}: {exc}") from exc
 
     optimizer_raw = raw.get("optimizer", {})
     if not isinstance(optimizer_raw, dict):
@@ -191,7 +194,7 @@ def cmd_train(args) -> int:
     tree = DEFAULT_TREE
     net_cfg = cfg.networks[which]
     if args.seed is not None:
-        net_cfg = replace(net_cfg, seed=args.seed)
+        net_cfg = replace(net_cfg, seed=whole_count(args.seed, "--seed", minimum=0))
     cfg.models_dir.mkdir(parents=True, exist_ok=True)
 
     needs = fusion.training_models(which)
@@ -249,10 +252,6 @@ def cmd_train(args) -> int:
 def cmd_refine(args) -> int:
     cfg = load_config(args.config)
     variant = args.variant
-    if variant not in fusion.PIPELINE_VARIANTS:
-        raise ConfigurationError(
-            f"unknown variant {variant!r}; choose from {', '.join(fusion.PIPELINE_VARIANTS)}"
-        )
     seq = seqio.read_sequence(args.input)
     tree = DEFAULT_TREE
 
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_refine = sub.add_parser("refine", help="refine a sequence with one variant")
     p_refine.add_argument("--config", required=True)
-    p_refine.add_argument("--variant", required=True)
+    p_refine.add_argument("--variant", required=True, choices=fusion.PIPELINE_VARIANTS)
     p_refine.add_argument("--input", required=True)
     p_refine.add_argument("--out", default=None)
     p_refine.set_defaults(func=cmd_refine)

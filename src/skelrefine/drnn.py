@@ -88,12 +88,14 @@ class DrnnConfig:
     def from_dict(cls, data: dict) -> "DrnnConfig":
         try:
             return cls(
-                input_dim=int(data["input_dim"]),
-                output_dim=int(data["output_dim"]),
-                hidden_sizes=tuple(int(h) for h in data["hidden_sizes"]),
-                recurrent_layer_index=int(data["recurrent_layer_index"]),
-                window_length=int(data["window_length"]),
-                seed=int(data["seed"]),
+                input_dim=optim.whole_count(data["input_dim"], "input_dim"),
+                output_dim=optim.whole_count(data["output_dim"], "output_dim"),
+                hidden_sizes=tuple(optim.whole_count(h, "hidden_sizes entry")
+                                   for h in data["hidden_sizes"]),
+                recurrent_layer_index=optim.whole_count(data["recurrent_layer_index"],
+                                                        "recurrent_layer_index"),
+                window_length=optim.whole_count(data["window_length"], "window_length"),
+                seed=optim.whole_count(data["seed"], "seed", minimum=0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad network config: {exc}") from exc

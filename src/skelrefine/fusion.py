@@ -47,14 +47,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import drnn, seqio, skeleton
 from .errors import (
     ConfigurationError,
-    DataError,
     EncodingError,
     InsufficientFramesError,
     NumericalError,
@@ -659,19 +657,6 @@ def fit_fusion_models(
     return models
 
 
-def _diagonal(path, data: dict, key: str) -> np.ndarray:
-    """data[key] as a finite, non-negative (48,) array."""
-    try:
-        arr = np.asarray(data[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: {key} must be a list of numbers") from exc
-    if arr.shape != (POSE_DIM,):
-        raise DataError(f"{path}: {key} must have shape ({POSE_DIM},), got {arr.shape}")
-    if not (np.all(np.isfinite(arr)) and np.all(arr >= 0.0)):
-        raise DataError(f"{path}: {key} must be finite and non-negative")
-    return arr
-
-
 def write_covariances(path, measurement_noise, process_noise) -> None:
     payload = {
         "R": [float(v) for v in np.asarray(measurement_noise)],
@@ -679,14 +664,3 @@ def write_covariances(path, measurement_noise, process_noise) -> None:
     }
     with seqio.atomic_open(path) as fh:
         fh.write(json.dumps(payload))
-
-
-def read_covariances(path) -> tuple[np.ndarray, np.ndarray]:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(data, dict) or "R" not in data or "Q" not in data:
-        raise DataError(f"{path} must be a JSON object with keys R, Q")
-    return _diagonal(path, data, "R"), _diagonal(path, data, "Q")

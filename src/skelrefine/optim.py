@@ -1,13 +1,26 @@
 """Deterministic full-batch minimizer.
 
-Limited-memory BFGS with a strong-Wolfe line search. It records every
-accepted iterate through a callback and is bit-reproducible for a fixed
-starting point.
+Limited-memory BFGS with a strong-Wolfe line search (Nocedal & Wright,
+Algorithms 7.4 and 3.5). It records every accepted iterate through a
+callback and is bit-reproducible for a fixed starting point. The iteration
+budget is the only setting; the rest is fixed:
+
+* HISTORY_SIZE: curvature pairs kept for the two-loop recursion.
+* GRAD_TOLERANCE: stop when the max-abs gradient entry falls below this.
+* LOSS_TOLERANCE: stop when the relative per-step loss decrease falls below
+  this.
+* WOLFE_C1, WOLFE_C2: the sufficient-decrease and curvature constants.
+* MAX_LINE_SEARCH_EVALS: evaluations allowed to bracket a step, and again
+  to zoom in on it.
+
+When a quasi-Newton search finds no step, the search is retried once along
+the raw gradient with the curvature history dropped.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -17,47 +30,40 @@ from .errors import ConfigurationError, TrainingDivergedError
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+HISTORY_SIZE = 10
+GRAD_TOLERANCE = 1e-9
+LOSS_TOLERANCE = 1e-14
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+MAX_LINE_SEARCH_EVALS = 25
 
-def whole_count(raw, what: str) -> int:
-    """A whole number of at least 1: a JSON integer, or a number with an
-    integral value."""
+
+def whole_count(raw, what: str, minimum: int = 1) -> int:
+    """A whole number of at least minimum: a JSON integer, or a number with
+    an integral value."""
     whole = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
-    if isinstance(raw, bool) or not whole or raw < 1:
-        raise ConfigurationError(f"{what} must be a whole number of at least 1, got {raw!r}")
+    if isinstance(raw, bool) or not whole or raw < minimum:
+        raise ConfigurationError(
+            f"{what} must be a whole number of at least {minimum}, got {raw!r}"
+        )
     return int(raw)
 
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Knobs for minimize(); defaults suit sum-of-squares network training.
+    """The iteration budget of minimize().
 
     method: "lbfgs", the only method; kept so that configs may name it.
-    grad_tolerance: stop when the max-abs gradient entry falls below this.
-    loss_tolerance: stop when the relative per-step loss decrease falls
-        below this.
     """
 
     method: str = "lbfgs"
     max_iterations: int = 200
-    history_size: int = 10
-    grad_tolerance: float = 1e-9
-    loss_tolerance: float = 1e-14
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_line_search_evals: int = 25
 
     def __post_init__(self):
         if self.method != "lbfgs":
             raise ConfigurationError(f"unknown optimizer method {self.method!r}")
-        for name in ("max_iterations", "history_size", "max_line_search_evals"):
-            object.__setattr__(self, name, whole_count(getattr(self, name), f"optimizer {name}"))
-        for name in ("grad_tolerance", "loss_tolerance", "wolfe_c1", "wolfe_c2"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ConfigurationError(f"optimizer {name} must be a finite number, got {value!r}")
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ConfigurationError("need 0 < wolfe_c1 < wolfe_c2 < 1")
+        object.__setattr__(self, "max_iterations",
+                           whole_count(self.max_iterations, "optimizer max_iterations"))
 
 
 @dataclass
@@ -107,16 +113,13 @@ def _zoom(
     hi: _Point,
     f0: float,
     slope0: float,
-    c1: float,
-    c2: float,
-    max_iters: int,
 ) -> _Point | None:
     """Shrink a bracketing interval until a strong-Wolfe point is found.
 
     lo always satisfies the sufficient-decrease condition. Returns the best
     sufficient-decrease point if the curvature condition never triggers.
     """
-    for _ in range(max_iters):
+    for _ in range(MAX_LINE_SEARCH_EVALS):
         width = hi.alpha - lo.alpha
         if abs(width) <= 1e-14 * max(1.0, abs(lo.alpha)):
             break
@@ -126,10 +129,10 @@ def _zoom(
         if alpha is None or not (inner_lo <= alpha <= inner_hi):
             alpha = 0.5 * (lo.alpha + hi.alpha)
         cand = evaluate(alpha)
-        if _finite(cand.f) > f0 + c1 * alpha * slope0 or _finite(cand.f) >= lo.f:
+        if _finite(cand.f) > f0 + WOLFE_C1 * alpha * slope0 or _finite(cand.f) >= lo.f:
             hi = cand
         else:
-            if abs(cand.slope) <= -c2 * slope0:
+            if abs(cand.slope) <= -WOLFE_C2 * slope0:
                 return cand
             if cand.slope * (hi.alpha - lo.alpha) >= 0.0:
                 hi = lo
@@ -144,22 +147,19 @@ def _strong_wolfe(
     f0: float,
     slope0: float,
     alpha_init: float,
-    c1: float,
-    c2: float,
-    max_evals: int,
 ) -> _Point | None:
     """Bracket-and-zoom line search enforcing the strong Wolfe conditions."""
     prev = _Point(0.0, f0, None, slope0)
     alpha = alpha_init
-    for i in range(max_evals):
+    for i in range(MAX_LINE_SEARCH_EVALS):
         cand = evaluate(alpha)
         f_cand = _finite(cand.f)
-        if f_cand > f0 + c1 * alpha * slope0 or (i > 0 and f_cand >= prev.f):
-            return _zoom(evaluate, prev, cand, f0, slope0, c1, c2, max_evals)
-        if abs(cand.slope) <= -c2 * slope0:
+        if f_cand > f0 + WOLFE_C1 * alpha * slope0 or (i > 0 and f_cand >= prev.f):
+            return _zoom(evaluate, prev, cand, f0, slope0)
+        if abs(cand.slope) <= -WOLFE_C2 * slope0:
             return cand
         if cand.slope >= 0.0:
-            return _zoom(evaluate, cand, prev, f0, slope0, c1, c2, max_evals)
+            return _zoom(evaluate, cand, prev, f0, slope0)
         prev = cand
         alpha = 2.0 * alpha
     return None
@@ -186,52 +186,40 @@ def minimize(
     if callback is not None:
         callback(0, f, x)
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    # curvature pairs (s, y, 1 / s.y), oldest first
+    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=HISTORY_SIZE)
     converged = False
     message = "iteration limit reached"
     iteration = 0
 
+    def evaluate(alpha: float) -> _Point:
+        # reads the current iterate and search direction when called
+        nonlocal evals
+        fx, gx = objective(x + alpha * direction)
+        evals += 1
+        return _Point(alpha, fx, gx, float(gx @ direction))
+
     for iteration in range(1, spec.max_iterations + 1):
         g_inf = float(np.max(np.abs(g)))
-        if g_inf <= spec.grad_tolerance:
+        if g_inf <= GRAD_TOLERANCE:
             converged = True
             message = "gradient tolerance reached"
             iteration -= 1
             break
 
-        direction = _two_loop(g, s_hist, y_hist, rho_hist)
+        direction = _two_loop(g, history)
         if float(direction @ g) >= 0.0:
             # stale curvature pairs; fall back to steepest descent
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
+            history.clear()
             direction = -g
-        alpha_init = 1.0 if s_hist else min(1.0, 1.0 / max(g_inf, 1e-12))
-
-        def evaluate(alpha, _d=direction):
-            nonlocal evals
-            fx, gx = objective(x + alpha * _d)
-            evals += 1
-            return _Point(alpha, fx, gx, float(gx @ _d))
-
-        slope0 = float(g @ direction)
-        accepted = _strong_wolfe(
-            evaluate, f, slope0, alpha_init, spec.wolfe_c1, spec.wolfe_c2,
-            spec.max_line_search_evals,
-        )
-        if accepted is None and s_hist:
+        while True:
+            alpha_init = 1.0 if history else min(1.0, 1.0 / max(g_inf, 1e-12))
+            accepted = _strong_wolfe(evaluate, f, float(g @ direction), alpha_init)
+            if accepted is not None or not history:
+                break
             # retry once along the raw gradient before giving up
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
+            history.clear()
             direction = -g
-            slope0 = float(g @ direction)
-            accepted = _strong_wolfe(
-                evaluate, f, slope0, min(1.0, 1.0 / max(g_inf, 1e-12)),
-                spec.wolfe_c1, spec.wolfe_c2, spec.max_line_search_evals,
-            )
         if accepted is None:
             message = "line search found no acceptable step"
             iteration -= 1
@@ -244,18 +232,12 @@ def minimize(
         y = accepted.g - g
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > spec.history_size:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            history.append((s, y, 1.0 / sy))
 
         f_prev, x, f, g = f, x_new, accepted.f, accepted.g
         if callback is not None:
             callback(iteration, f, x)
-        if f_prev - f <= spec.loss_tolerance * max(1.0, abs(f_prev)):
+        if f_prev - f <= LOSS_TOLERANCE * max(1.0, abs(f_prev)):
             converged = True
             message = "loss change below tolerance"
             break
@@ -271,19 +253,20 @@ def minimize(
     )
 
 
-def _two_loop(g, s_hist, y_hist, rho_hist) -> np.ndarray:
+def _two_loop(g, history) -> np.ndarray:
     """Two-loop recursion: approximate -H g from stored curvature pairs."""
     q = -g.copy()
-    if not s_hist:
+    if not history:
         return q
     alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+    for s, y, rho in reversed(history):
         a = rho * float(s @ q)
         q -= a * y
         alphas.append(a)
-    gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
+    s, y, _ = history[-1]
+    gamma = float(s @ y) / float(y @ y)
     q *= gamma
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+    for (s, y, rho), a in zip(history, reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return q

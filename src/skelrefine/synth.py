@@ -24,6 +24,7 @@ import numpy as np
 
 from . import seqio
 from .errors import ConfigurationError, DataError, EncodingError
+from .optim import whole_count
 from .skeleton import (
     DEFAULT_TREE,
     N_JOINTS,
@@ -151,11 +152,11 @@ class MotionConfig:
                 }
             pool = data.get("frequency_pool_hz")
             return cls(
-                n_frames=int(data["n_frames"]),
+                n_frames=whole_count(data["n_frames"], "n_frames"),
                 frame_rate_hz=float(data.get("frame_rate_hz", 30.0)),
                 bone_lengths=lengths,
                 motion_bandwidth_hz=float(data.get("motion_bandwidth_hz", 1.0)),
-                seed=int(data.get("seed", 0)),
+                seed=whole_count(data.get("seed", 0), "corpus seed", minimum=0),
                 angle_amplitude_rad=float(data.get("angle_amplitude_rad", 0.35)),
                 root_amplitude_m=float(data.get("root_amplitude_m", 0.15)),
                 frequency_pool_hz=None if pool is None else tuple(float(f) for f in pool),
@@ -200,9 +201,12 @@ class CorruptionConfig:
             return cls(
                 jitter_sigma=float(data.get("jitter_sigma", 0.01)),
                 occlusion_rate=float(data.get("occlusion_rate", 0.02)),
-                occlusion_duration_frames=(int(duration[0]), int(duration[1])),
+                occlusion_duration_frames=(
+                    whole_count(duration[0], "occlusion_duration_frames entry"),
+                    whole_count(duration[1], "occlusion_duration_frames entry"),
+                ),
                 displacement_sigma=float(data.get("displacement_sigma", 0.05)),
-                seed=int(data.get("seed", 0)),
+                seed=whole_count(data.get("seed", 0), "corruption seed", minimum=0),
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigurationError(f"bad corruption config: {exc}") from exc
@@ -459,7 +463,8 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
             "n_frames": len(pair.clean),
         }
     manifest_path = out_dir / MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    with seqio.atomic_open(manifest_path) as fh:
+        fh.write(json.dumps(manifest, indent=2))
     return manifest_path
 
 
@@ -499,5 +504,5 @@ def read_corpus(corpus_dir) -> Corpus:
             corruption_config=CorruptionConfig.from_dict(manifest["corruption_config"]),
             split_ratios=tuple(float(r) for r in manifest["split_ratios"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise DataError(f"corpus manifest {manifest_path} is malformed: {exc}") from exc

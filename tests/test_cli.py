@@ -152,11 +152,25 @@ BAD_CONFIG_EDITS = {
     "variants_nested_list": lambda c: c.update(variants=[["raw"]]),
     "k_fraction": lambda c: c["fusion"].update(k=1.5),
     "k_boolean": lambda c: c["fusion"].update(k=True),
+    # the optimizer's fixed settings and removed methods are not config keys
     "grad_tolerance_string": lambda c: c["optimizer"].update(grad_tolerance="x"),
     "history_size_fraction": lambda c: c["optimizer"].update(history_size=2.5),
     "max_line_search_evals_zero": lambda c: c["optimizer"].update(max_line_search_evals=0),
+    "loss_tolerance": lambda c: c["optimizer"].update(loss_tolerance=1e-14),
+    "wolfe_constants": lambda c: c["optimizer"].update(wolfe_c1=1e-4, wolfe_c2=0.9),
     "method_gd": lambda c: c["optimizer"].update(method="gd"),
     "learning_rate": lambda c: c["optimizer"].update(learning_rate=0.1),
+    # integer fields take whole numbers only
+    "total_frames_fraction": lambda c: c["corpus"].update(total_frames=200.5),
+    "corpus_seed_boolean": lambda c: c["corpus"].update(seed=True),
+    "corpus_seed_negative": lambda c: c["corpus"].update(seed=-1),
+    "occlusion_duration_fraction": lambda c: c["corpus"]["corruption"].update(
+        occlusion_duration_frames=[3, 6.5]),
+    "corruption_seed_fraction": lambda c: c["corpus"]["corruption"].update(seed=12.5),
+    "window_length_fraction": lambda c: c["pdrnn"].update(window_length=7.9),
+    "hidden_size_fraction": lambda c: c["pdrnn"].update(hidden_sizes=[10, 10.5]),
+    "layer_index_fraction": lambda c: c["vdrnn"].update(recurrent_layer_index=1.5),
+    "network_seed_boolean": lambda c: c["vdrnn_plus"].update(seed=True),
 }
 
 
@@ -180,6 +194,37 @@ def test_optimizer_method_lbfgs_still_loads(tmp_path):
     assert cli.load_config(path).optimizer == OptimizerSpec(max_iterations=10)
 
 
+def test_readme_minimal_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A minimal config:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    cfg = cli.load_config(path)
+    assert cfg.optimizer == OptimizerSpec(max_iterations=200)
+    assert cfg.network_iterations == {"pdrnn": 500, "vdrnn": 80, "vdrnn_plus": 80}
+    assert cfg.motion.n_frames == 7300
+    assert cfg.variants == ("raw", "pdrnn", "sknn", "kf", "sknnkf")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("motion_config", "n_frames", 200.5), ("motion_config", "seed", True),
+    ("corruption_config", "occlusion_duration_frames", [3, 6.5]),
+], ids=["n_frames_fraction", "seed_boolean", "occlusion_duration_fraction"])
+def test_malformed_manifest_is_one_line_data_error(workspace, capsys, section, key, value):
+    tmp_path, config = workspace
+    assert run("synth", "--config", config) == 0
+    manifest_path = tmp_path / "corpus" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[section][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run("train", "--config", config, "--which", "pdrnn")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
 class _DiskFull:
     """A file handle that writes half of what it is given, then fails as a
     full disk would."""
@@ -200,14 +245,19 @@ class _DiskFull:
 
 @pytest.mark.parametrize("artifact,which", [
     ("pdrnn.json", "pdrnn"), ("pdrnn_loss.csv", "pdrnn"), ("kalman.json", "vdrnn_plus"),
+    ("manifest.json", "synth"),
 ])
 def test_failed_artifact_write_keeps_the_previous_file(workspace, monkeypatch, artifact, which):
     tmp_path, config = workspace
     assert run("synth", "--config", config) == 0
     for name in ("pdrnn", "vdrnn", "vdrnn_plus"):
         assert run("train", "--config", config, "--which", name) == 0
-    models = tmp_path / "models"
-    before = {path.name: path.read_bytes() for path in models.iterdir()}
+
+    def artifacts():
+        return {path: path.read_bytes()
+                for folder in ("corpus", "models") for path in (tmp_path / folder).iterdir()}
+
+    before = artifacts()
 
     real_open = Path.open
 
@@ -217,11 +267,14 @@ def test_failed_artifact_write_keeps_the_previous_file(workspace, monkeypatch, a
 
     monkeypatch.setattr(Path, "open", failing_open)
     with pytest.raises(OSError, match="No space left"):
-        run("train", "--config", config, "--which", which)
-    # training is deterministic, so what was rewritten before the failure
-    # has the same bytes; the failed file is the previous one, and no
-    # temporary file is left
-    assert {path.name: path.read_bytes() for path in models.iterdir()} == before
+        if which == "synth":
+            run("synth", "--config", config)
+        else:
+            run("train", "--config", config, "--which", which)
+    # synthesis and training are deterministic, so what was rewritten before
+    # the failure has the same bytes; the failed file is the previous one,
+    # and no temporary file is left
+    assert artifacts() == before
 
 
 class TestTrainCommand:
@@ -259,6 +312,14 @@ class TestTrainCommand:
         # the vdrnn_plus stage persists the fitted covariances
         assert (tmp_path / "models" / "kalman.json").exists()
 
+
+    def test_negative_seed_is_one_line_usage_error(self, workspace, capsys):
+        _, config = workspace
+        assert run("synth", "--config", config) == 0
+        capsys.readouterr()
+        assert run("train", "--config", config, "--which", "pdrnn", "--seed", -1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_summary_counts_loss_and_gradient_evaluations(self, workspace, capsys,
                                                           monkeypatch):
@@ -339,7 +400,7 @@ class TestRefineAndEval:
 
     @pytest.mark.parametrize("malformed", [
         "payload_list", "payload_string", "config_string", "arrays_list", "entry_string",
-        "data_string",
+        "data_string", "window_fraction", "seed_boolean",
     ])
     def test_malformed_checkpoint_is_one_line_data_error(self, workspace, capsys, malformed):
         tmp_path, config = workspace
@@ -359,6 +420,10 @@ class TestRefineAndEval:
             payload["arrays"] = []
         elif malformed == "entry_string":
             payload["arrays"]["recurrent"] = "x"
+        elif malformed == "window_fraction":
+            payload["config"]["window_length"] = 7.5
+        elif malformed == "seed_boolean":
+            payload["config"]["seed"] = True
         else:
             payload["arrays"]["recurrent"]["data"] = "x"
         checkpoint.write_text(json.dumps(payload))

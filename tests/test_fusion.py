@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 from fractions import Fraction
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelrefine import drnn, skeleton
-from skelrefine.errors import ConfigurationError, DataError, EncodingError, NumericalError
+from skelrefine.errors import ConfigurationError, EncodingError, NumericalError
 from skelrefine.fusion import (
     _sknn_track,
     FusionModels,
@@ -24,14 +23,12 @@ from skelrefine.fusion import (
     kalman_filter_stream,
     kalman_step,
     nearest_indices,
-    read_covariances,
     required_models,
     required_networks,
     run_pipeline,
     sknn_step,
     training_models,
     training_streams,
-    write_covariances,
 )
 from skelrefine.skeleton import DEFAULT_TREE, POSE_DIM, Encoding, SkeletonSequence, velocities
 from skelrefine.synth import (
@@ -770,27 +767,3 @@ class TestPipeline:
         corpus, _ = pipeline_setup
         with pytest.raises(ConfigurationError, match="pdrnn"):
             fit_fusion_models(corpus, DEFAULT_TREE, variants=("sknn",))
-
-
-class TestSerialization:
-    def test_covariances_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        r = rng.uniform(1e-6, 1e-3, POSE_DIM)
-        q = rng.uniform(1e-6, 1e-3, POSE_DIM)
-        write_covariances(tmp_path / "cov.json", r, q)
-        r2, q2 = read_covariances(tmp_path / "cov.json")
-        assert np.array_equal(r, r2)
-        assert np.array_equal(q, q2)
-
-    @pytest.mark.parametrize("payload", [
-        "not json", [], "x", {}, {"R": [1.0] * POSE_DIM}, {"R": [1, 2], "Q": [1, 2]},
-        {"R": [[1.0]] * POSE_DIM, "Q": [1.0] * POSE_DIM},
-        {"R": ["a"] * POSE_DIM, "Q": [1.0] * POSE_DIM},
-        {"R": [float("nan")] * POSE_DIM, "Q": [1.0] * POSE_DIM},
-        {"R": [1.0] * POSE_DIM, "Q": [-1.0] * POSE_DIM},
-    ])
-    def test_malformed_covariances_are_data_errors(self, tmp_path, payload):
-        path = tmp_path / "cov.json"
-        path.write_text(payload if payload == "not json" else json.dumps(payload))
-        with pytest.raises(DataError):
-            read_covariances(path)
