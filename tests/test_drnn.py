@@ -86,6 +86,23 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             DrnnConfig(**base)
 
+    @pytest.mark.parametrize("field, value", [
+        ("input_dim", 2.5), ("hidden_sizes", [4, 4.5]), ("recurrent_layer_index", True),
+        ("window_length", 7.9), ("seed", -1), ("seed", False),
+    ])
+    def test_from_dict_takes_whole_numbers_only(self, field, value):
+        data = tiny_config().to_dict()
+        data[field] = value
+        with pytest.raises(ConfigurationError, match=field.rstrip("s")):
+            DrnnConfig.from_dict(data)
+
+    def test_from_dict_accepts_integral_floats(self):
+        data = tiny_config().to_dict()
+        data.update(window_length=3.0, hidden_sizes=[4.0, 5], seed=0.0)
+        cfg = DrnnConfig.from_dict(data)
+        assert cfg == tiny_config(seed=0)
+        assert type(cfg.window_length) is int and type(cfg.hidden_sizes[0]) is int
+
 
 class TestForward:
     def test_zero_weights_give_zero_outputs(self):

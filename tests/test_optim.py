@@ -1,10 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from skelrefine import optim
 from skelrefine.errors import ConfigurationError, TrainingDivergedError
-from skelrefine.optim import MAX_LINE_SEARCH_EVALS, OptimizerSpec, minimize, whole_count
+from skelrefine.optim import (
+    HISTORY_SIZE,
+    MAX_LINE_SEARCH_EVALS,
+    WOLFE_C1,
+    WOLFE_C2,
+    OptimizerSpec,
+    _Point,
+    _strong_wolfe,
+    minimize,
+    whole_count,
+)
 
 
 def quadratic(center):
@@ -127,7 +139,93 @@ class TestLbfgs:
             assert cos == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_history_keeps_the_latest_pairs_up_to_its_size(self, monkeypatch):
+        # a 30-dimensional quadratic with spread curvatures runs long enough
+        # to fill the curvature history and keep it full
+        scales = np.linspace(1.0, 50.0, 30)
+
+        def objective(x):
+            return float(scales @ (x * x)), 2.0 * scales * x
+
+        lengths = []
+        two_loop = optim._two_loop
+
+        def recording(g, history):
+            lengths.append(len(history))
+            return two_loop(g, history)
+
+        monkeypatch.setattr(optim, "_two_loop", recording)
+        minimize(objective, np.ones(30), OptimizerSpec(max_iterations=25))
+        assert lengths[:HISTORY_SIZE + 1] == list(range(HISTORY_SIZE + 1))
+        assert max(lengths) == HISTORY_SIZE
+        assert len(lengths) > HISTORY_SIZE + 1
+
+
+def _line(objective, x, direction):
+    """evaluate() for _strong_wolfe along direction from x, counting calls."""
+    calls = []
+
+    def evaluate(alpha):
+        calls.append(alpha)
+        f, g = objective(x + alpha * direction)
+        return _Point(alpha, f, g, float(g @ direction))
+
+    return evaluate, calls
+
+
+class TestStrongWolfe:
+    @pytest.mark.parametrize("alpha_init", [1e-4, 1.0, 1e3],
+                             ids=["expands", "unit", "zooms"])
+    def test_accepted_step_meets_both_conditions(self, alpha_init):
+        x = np.array([-1.2, 1.0])
+        f0, g0 = rosenbrock(x)
+        direction = -g0
+        slope0 = float(g0 @ direction)
+        evaluate, _ = _line(rosenbrock, x, direction)
+        point = _strong_wolfe(evaluate, f0, slope0, alpha_init)
+        assert point is not None and point.alpha > 0.0
+        assert point.f <= f0 + WOLFE_C1 * point.alpha * slope0
+        assert abs(point.slope) <= -WOLFE_C2 * slope0
+
+    def test_gives_up_after_the_bracket_and_zoom_budgets(self):
+        def nowhere_finite(x):
+            return math.inf, np.ones_like(x)
+
+        x = np.zeros(2)
+        evaluate, calls = _line(nowhere_finite, x, -np.ones(2))
+        assert _strong_wolfe(evaluate, 1.0, -2.0, 1.0) is None
+        assert len(calls) == 1 + MAX_LINE_SEARCH_EVALS
+
+    def test_nan_counts_as_no_decrease(self):
+        # the quadratic's minimum at 2 lies past a region where the loss
+        # reads NaN; the search must settle on a finite step short of it
+        def nan_past_one(x):
+            if x[0] > 1.0:
+                return math.nan, np.full_like(x, math.nan)
+            return float((x[0] - 2.0) ** 2), 2.0 * (x - 2.0)
+
+        x = np.zeros(1)
+        f0, g0 = nan_past_one(x)
+        evaluate, _ = _line(nan_past_one, x, -g0)
+        point = _strong_wolfe(evaluate, f0, float(g0 @ -g0), 1.0)
+        assert point is not None
+        assert math.isfinite(point.f) and point.f < f0
+        assert 0.0 < point.alpha * 4.0 <= 1.0
+
+
 class TestSpecValidation:
+    def test_the_iteration_budget_is_the_only_setting(self):
+        names = [field.name for field in dataclasses.fields(OptimizerSpec)]
+        assert names == ["method", "max_iterations"]
+
+    @pytest.mark.parametrize("name, value", [
+        ("HISTORY_SIZE", 10), ("GRAD_TOLERANCE", 1e-9), ("LOSS_TOLERANCE", 1e-14),
+        ("WOLFE_C1", 1e-4), ("WOLFE_C2", 0.9), ("MAX_LINE_SEARCH_EVALS", 25),
+    ])
+    def test_fixed_settings_keep_their_former_defaults(self, name, value):
+        # trained weights stay bit-identical only while these hold
+        assert getattr(optim, name) == value
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigurationError):
             OptimizerSpec(method="adam")
