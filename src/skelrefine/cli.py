@@ -12,13 +12,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 
 from . import drnn, fusion, metrics, seqio, synth
 from .errors import ConfigurationError, DependencyError, NumericalError, SkelRefineError
-from .optim import OptimizerSpec, whole_count
+from .optim import OptimizerSpec, real_number, whole_count
 from .skeleton import DEFAULT_TREE
 
 _DEFAULT_WINDOWS = {"pdrnn": drnn.POSITION_WINDOW, "vdrnn": drnn.VELOCITY_WINDOW,
@@ -34,8 +34,7 @@ class PipelineConfig:
     corruption: synth.CorruptionConfig
     split_ratios: tuple[float, float, float]
     networks: dict[str, drnn.DrnnConfig]
-    optimizer: OptimizerSpec
-    network_iterations: dict[str, int]
+    optimizers: dict[str, OptimizerSpec]
     knn_k: int
     theta: float
     theta_plus: float
@@ -48,18 +47,6 @@ def _section(raw: dict, name: str) -> dict:
         raise ConfigurationError(f"config missing {name!r} section")
     if not isinstance(value, dict):
         raise ConfigurationError(f"config section {name!r} must be an object")
-    return value
-
-
-def _fraction(fusion_raw: dict, key: str) -> float:
-    """A gate threshold: a finite number in [0, 1), 0.05 when absent."""
-    raw = fusion_raw.get(key, 0.05)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = float("nan")
-    if not 0.0 <= value < 1.0:
-        raise ConfigurationError(f"fusion {key} must be a number in [0, 1), got {raw!r}")
     return value
 
 
@@ -87,41 +74,17 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     corruption_raw = corpus_raw.pop("corruption", {})
     if not isinstance(corruption_raw, dict):
         raise ConfigurationError(f"corpus corruption must be an object, got {corruption_raw!r}")
-    split_ratios = corpus_raw.pop("split_ratios", synth.DEFAULT_SPLIT_RATIOS)
-    if not isinstance(split_ratios, (list, tuple)):
-        raise ConfigurationError(
-            f"corpus split_ratios must be a list of 3 numbers, got {split_ratios!r}"
-        )
-    split_ratios = tuple(split_ratios)
-    total_frames = corpus_raw.pop("total_frames", None)
-    if total_frames is not None:
-        corpus_raw.setdefault("n_frames", total_frames)
+    split_ratios = synth.read_split_ratios(
+        corpus_raw.pop("split_ratios", synth.DEFAULT_SPLIT_RATIOS))
+    if "n_frames" in corpus_raw:
+        raise ConfigurationError("corpus length key is total_frames, not n_frames")
+    corpus_raw["n_frames"] = whole_count(corpus_raw.pop("total_frames", None),
+                                         "corpus total_frames")
     if seed_override is not None:
         corpus_raw["seed"] = seed_override
     motion = synth.MotionConfig.from_dict(corpus_raw)
     corruption = synth.CorruptionConfig.from_dict(corruption_raw)
     synth.split_frame_counts(motion.n_frames, split_ratios)
-
-    networks: dict[str, drnn.DrnnConfig] = {}
-    network_iterations: dict[str, int] = {}
-    for name in fusion.NETWORKS:
-        block = raw.get(name, {})
-        if not isinstance(block, dict):
-            raise ConfigurationError(f"network block {name!r} must be an object")
-        block = dict(block)
-        iterations = block.pop("max_iterations", None)
-        if iterations is not None:
-            network_iterations[name] = whole_count(iterations, f"{name} max_iterations")
-        block.setdefault("input_dim", 48)
-        block.setdefault("output_dim", 48)
-        block.setdefault("hidden_sizes", [256, 256, 256])
-        block.setdefault("recurrent_layer_index", 2)
-        block.setdefault("window_length", _DEFAULT_WINDOWS[name])
-        block.setdefault("seed", 0)
-        try:
-            networks[name] = drnn.DrnnConfig.from_dict(block)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"network block {name!r}: {exc}") from exc
 
     optimizer_raw = raw.get("optimizer", {})
     if not isinstance(optimizer_raw, dict):
@@ -131,12 +94,31 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     except TypeError as exc:
         raise ConfigurationError(f"bad optimizer section: {exc}") from exc
 
+    networks: dict[str, drnn.DrnnConfig] = {}
+    optimizers: dict[str, OptimizerSpec] = {}
+    for name in fusion.NETWORKS:
+        block = raw.get(name, {})
+        if not isinstance(block, dict):
+            raise ConfigurationError(f"network block {name!r} must be an object")
+        block = dict(block)
+        iterations = block.pop("max_iterations", optimizer.max_iterations)
+        optimizers[name] = replace(
+            optimizer, max_iterations=whole_count(iterations, f"{name} max_iterations"))
+        defaults = asdict(drnn.DrnnConfig(window_length=_DEFAULT_WINDOWS[name]))
+        try:
+            networks[name] = drnn.DrnnConfig.from_dict({**defaults, **block})
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"network block {name!r}: {exc}") from exc
+
     fusion_raw = raw.get("fusion", {})
     if not isinstance(fusion_raw, dict):
         raise ConfigurationError("fusion section must be an object")
     knn_k = whole_count(fusion_raw.get("k", 300), "fusion k")
-    theta = _fraction(fusion_raw, "theta")
-    theta_plus = _fraction(fusion_raw, "theta_plus")
+    theta, theta_plus = (real_number(fusion_raw.get(key, 0.05), f"fusion {key}")
+                         for key in ("theta", "theta_plus"))
+    if not (0 <= theta < 1 and 0 <= theta_plus < 1):
+        raise ConfigurationError(
+            f"fusion theta and theta_plus must lie in [0, 1), got {theta} and {theta_plus}")
 
     variants = raw.get("variants", ["raw", "pdrnn", "sknn", "kf", "sknnkf"])
     if not isinstance(variants, list):
@@ -154,8 +136,7 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
         corruption=corruption,
         split_ratios=split_ratios,
         networks=networks,
-        optimizer=optimizer,
-        network_iterations=network_iterations,
+        optimizers=optimizers,
         knn_k=knn_k,
         theta=theta,
         theta_plus=theta_plus,
@@ -213,10 +194,7 @@ def cmd_train(args) -> int:
         for pair in (corpus.train, corpus.validation)
     )
 
-    optimizer = cfg.optimizer
-    if which in cfg.network_iterations:
-        optimizer = replace(optimizer, max_iterations=cfg.network_iterations[which])
-    result = drnn.train(net_cfg, train_batch, val_batch, optimizer)
+    result = drnn.train(net_cfg, train_batch, val_batch, cfg.optimizers[which])
 
     checkpoint = _checkpoint_path(cfg.models_dir, which)
     drnn.save_checkpoint(checkpoint, result.params)

@@ -17,7 +17,7 @@ recurrent state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,16 +73,6 @@ class DrnnConfig:
     @property
     def recurrent_size(self) -> int:
         return self.hidden_sizes[self.recurrent_layer_index - 1]
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "hidden_sizes": list(self.hidden_sizes),
-            "recurrent_layer_index": self.recurrent_layer_index,
-            "window_length": self.window_length,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DrnnConfig":
@@ -467,7 +457,7 @@ def save_checkpoint(path, params: DrnnParams) -> None:
     written atomically."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "arrays": {},
     }
     for (name, shape), array in zip(_expected_shapes(params.config), _param_arrays(params)):
@@ -509,13 +499,10 @@ def load_checkpoint(path) -> DrnnParams:
             raise DataError(
                 f"{path}: array {name!r} has shape {entry.get('shape')}, expected {list(shape)}"
             )
-        try:
-            data = np.asarray(entry.get("data"), dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: array {name!r} data is not a list of numbers") from exc
-        if data.shape != (int(np.prod(shape)),):
-            raise DataError(f"{path}: array {name!r} data length mismatch")
-        if not np.all(np.isfinite(data)):
-            raise DataError(f"{path}: array {name!r} contains non-finite values")
+        size = int(np.prod(shape))
+        data = entry.get("data")
+        data = seqio.finite_rows([data], size) if isinstance(data, list) else None
+        if data is None:
+            raise DataError(f"{path}: array {name!r} data must be {size} finite numbers")
         loaded[name] = data.reshape(shape)
     return _params_from_arrays(config, loaded)

@@ -15,6 +15,9 @@ budget is the only setting; the rest is fixed:
 
 When a quasi-Newton search finds no step, the search is retried once along
 the raw gradient with the curvature history dropped.
+
+whole_count and real_number, kept here beside the one spec they check,
+read every number of a config, a corpus manifest or a checkpoint.
 """
 
 from __future__ import annotations
@@ -47,6 +50,19 @@ def whole_count(raw, what: str, minimum: int = 1) -> int:
             f"{what} must be a whole number of at least {minimum}, got {raw!r}"
         )
     return int(raw)
+
+
+def real_number(raw, what: str) -> float:
+    """A finite real as a float: a JSON integer or number, not a boolean,
+    that a float can hold."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ConfigurationError(f"{what} must be a finite number, got {raw!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigurationError, DataError
+from .optim import real_number
 from .skeleton import POSE_DIM, Encoding, SkeletonSequence
 
 
@@ -72,9 +73,12 @@ def read_sequence(path) -> SkeletonSequence:
         encoding = Encoding(header["encoding"])
     except ValueError as exc:
         raise DataError(f"{path}: unknown encoding {header['encoding']!r}") from exc
-    frame_rate = header["frame_rate_hz"]
-    if not isinstance(frame_rate, (int, float)) or not frame_rate > 0:
-        raise DataError(f"{path}: frame_rate_hz must be a positive number")
+    try:
+        frame_rate = real_number(header["frame_rate_hz"], "frame_rate_hz")
+    except ConfigurationError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if not frame_rate > 0:
+        raise DataError(f"{path}: frame_rate_hz must be positive, got {frame_rate!r}")
 
     frames = []
     linenos = []
@@ -98,11 +102,11 @@ def read_sequence(path) -> SkeletonSequence:
         linenos.append(lineno)
     if not frames:
         raise DataError(f"{path}: sequence file has no frames")
-    data = _finite_rows(frames)
+    data = finite_rows(frames)
     if data is None:
-        lineno = next(n for joints, n in zip(frames, linenos) if _finite_rows([joints]) is None)
+        lineno = next(n for joints, n in zip(frames, linenos) if finite_rows([joints]) is None)
         raise DataError(f"{path}:{lineno}: joint values must be finite numbers")
-    return SkeletonSequence(data, encoding, float(frame_rate))
+    return SkeletonSequence(data, encoding, frame_rate)
 
 
 # the types json.loads gives a number; bool is not among them, nor str,
@@ -110,15 +114,17 @@ def read_sequence(path) -> SkeletonSequence:
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _finite_rows(frames: list) -> np.ndarray | None:
-    """frames as an (n, 48) float64 array, or None unless every value is a
-    finite JSON number (null converts to NaN, so it is refused too)."""
-    if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(frames))):
+def finite_rows(rows: list, width: int = POSE_DIM) -> np.ndarray | None:
+    """rows, lists of JSON values, as an (n, width) float64 array, or None
+    unless every row holds width values and each is a finite JSON number
+    (null converts to NaN, so it is refused too). Sequence frames and
+    checkpoint arrays are read through this one type pass."""
+    if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows))):
         return None
     try:
-        data = np.array(frames, dtype=np.float64)
+        data = np.array(rows, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         return None
-    if data.shape != (len(frames), POSE_DIM) or not np.isfinite(data).all():
+    if data.shape != (len(rows), width) or not np.isfinite(data).all():
         return None
     return data

@@ -9,22 +9,28 @@ occlusion episodes during which a joint freezes at a displaced position and
 then snaps back.
 
 All randomness flows from explicit seeds, so identical configs reproduce
-identical corpora.
+identical corpora. Bones have DEFAULT_BONE_LENGTHS, and the sinusoid
+frequency pool is drawn once per corpus from the motion seed.
+
+MotionConfig and CorruptionConfig state their defaults once, as field
+defaults; from_dict reads only the keys present, counts and seeds through
+optim.whole_count and every other value through optim.real_number, so a
+boolean, a string or a non-finite number is refused.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from . import seqio
 from .errors import ConfigurationError, DataError, EncodingError
-from .optim import whole_count
+from .optim import real_number, whole_count
 from .skeleton import (
     DEFAULT_TREE,
     N_JOINTS,
@@ -79,6 +85,28 @@ _SIGNAL_COMPONENTS = 3
 DEFAULT_SPLIT_RATIOS = (50 / 73, 8 / 73, 15 / 73)  # 5000/800/1500 at 7300 frames
 
 
+def _seed(raw, what: str) -> int:
+    return whole_count(raw, what, minimum=0)
+
+
+def _whole_counts(raw, what: str) -> tuple[int, ...]:
+    return tuple(whole_count(v, f"{what} entry") for v in raw)
+
+
+def _from_present_keys(cls, data: dict, what: str, readers: dict):
+    """cls built from the keys of data that name its fields, the others left
+    at their defaults. readers maps a field to the function that reads it;
+    every other field is a real number. Keys that name no field are ignored,
+    so manifests that record removed settings still load."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} config must be an object, got {data!r}")
+    try:
+        return cls(**{f.name: readers.get(f.name, real_number)(data[f.name], f.name)
+                      for f in fields(cls) if f.name in data})
+    except TypeError as exc:
+        raise ConfigurationError(f"bad {what} config: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class MotionConfig:
     """Ground-truth motion parameters.
@@ -87,20 +115,18 @@ class MotionConfig:
     pool with per-joint random amplitudes and phases; sharing the pool keeps
     the whole pose manifold low-dimensional, the analogue of a performer
     repeating a small set of activities. The pool is drawn from the seed
-    when not pinned explicitly.
+    (draw_frequency_pool); bones have DEFAULT_BONE_LENGTHS.
     """
 
     n_frames: int
     frame_rate_hz: float = 30.0
-    bone_lengths: Mapping[JointId, float] | None = None
     motion_bandwidth_hz: float = 1.0
     seed: int = 0
     angle_amplitude_rad: float = 0.35
     root_amplitude_m: float = 0.15
-    frequency_pool_hz: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.n_frames < 1:
+        if not self.n_frames >= 1:
             raise ConfigurationError("n_frames must be at least 1")
         if not self.frame_rate_hz > 0:
             raise ConfigurationError("frame_rate_hz must be positive")
@@ -108,61 +134,13 @@ class MotionConfig:
             raise ConfigurationError(
                 "motion_bandwidth_hz must lie in (0, frame_rate_hz / 2)"
             )
-        if self.angle_amplitude_rad < 0 or self.root_amplitude_m < 0:
+        if not (self.angle_amplitude_rad >= 0 and self.root_amplitude_m >= 0):
             raise ConfigurationError("amplitudes must be non-negative")
-        if self.frequency_pool_hz is not None:
-            pool = tuple(sorted(float(f) for f in self.frequency_pool_hz))
-            if not pool or any(
-                not 0 < f <= self.motion_bandwidth_hz for f in pool
-            ):
-                raise ConfigurationError(
-                    "frequency_pool_hz entries must lie in (0, motion_bandwidth_hz]"
-                )
-            object.__setattr__(self, "frequency_pool_hz", pool)
-        lengths = dict(DEFAULT_BONE_LENGTHS if self.bone_lengths is None else self.bone_lengths)
-        if set(lengths) != set(JointId):
-            raise ConfigurationError("bone_lengths must cover all 16 joints")
-        for joint, length in lengths.items():
-            if joint != JointId.SPINEMID and not length > 0:
-                raise ConfigurationError(f"bone length for {joint.name} must be positive")
-        object.__setattr__(self, "bone_lengths", lengths)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_frames": self.n_frames,
-            "frame_rate_hz": self.frame_rate_hz,
-            "bone_lengths": {j.name.lower(): v for j, v in self.bone_lengths.items()},
-            "motion_bandwidth_hz": self.motion_bandwidth_hz,
-            "seed": self.seed,
-            "angle_amplitude_rad": self.angle_amplitude_rad,
-            "root_amplitude_m": self.root_amplitude_m,
-            "frequency_pool_hz": (
-                None if self.frequency_pool_hz is None else list(self.frequency_pool_hz)
-            ),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MotionConfig":
-        try:
-            lengths = None
-            if data.get("bone_lengths") is not None:
-                lengths = {
-                    JointId[name.upper()]: float(v)
-                    for name, v in data["bone_lengths"].items()
-                }
-            pool = data.get("frequency_pool_hz")
-            return cls(
-                n_frames=whole_count(data["n_frames"], "n_frames"),
-                frame_rate_hz=float(data.get("frame_rate_hz", 30.0)),
-                bone_lengths=lengths,
-                motion_bandwidth_hz=float(data.get("motion_bandwidth_hz", 1.0)),
-                seed=whole_count(data.get("seed", 0), "corpus seed", minimum=0),
-                angle_amplitude_rad=float(data.get("angle_amplitude_rad", 0.35)),
-                root_amplitude_m=float(data.get("root_amplitude_m", 0.15)),
-                frequency_pool_hz=None if pool is None else tuple(float(f) for f in pool),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad motion config: {exc}") from exc
+        return _from_present_keys(cls, data, "motion",
+                                  {"n_frames": whole_count, "seed": _seed})
 
 
 @dataclass(frozen=True)
@@ -176,40 +154,21 @@ class CorruptionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.jitter_sigma < 0 or self.displacement_sigma < 0:
+        if not (self.jitter_sigma >= 0 and self.displacement_sigma >= 0):
             raise ConfigurationError("sigmas must be non-negative")
         if not 0.0 <= self.occlusion_rate <= 1.0:
             raise ConfigurationError("occlusion_rate must lie in [0, 1]")
-        lo, hi = self.occlusion_duration_frames
-        if not (1 <= lo <= hi):
-            raise ConfigurationError("occlusion_duration_frames must satisfy 1 <= lo <= hi")
-        object.__setattr__(self, "occlusion_duration_frames", (int(lo), int(hi)))
-
-    def to_dict(self) -> dict:
-        return {
-            "jitter_sigma": self.jitter_sigma,
-            "occlusion_rate": self.occlusion_rate,
-            "occlusion_duration_frames": list(self.occlusion_duration_frames),
-            "displacement_sigma": self.displacement_sigma,
-            "seed": self.seed,
-        }
+        duration = tuple(int(d) for d in self.occlusion_duration_frames)
+        if len(duration) != 2 or not 1 <= duration[0] <= duration[1]:
+            raise ConfigurationError(
+                "occlusion_duration_frames must be two counts lo, hi with 1 <= lo <= hi"
+            )
+        object.__setattr__(self, "occlusion_duration_frames", duration)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorruptionConfig":
-        try:
-            duration = data.get("occlusion_duration_frames", (3, 10))
-            return cls(
-                jitter_sigma=float(data.get("jitter_sigma", 0.01)),
-                occlusion_rate=float(data.get("occlusion_rate", 0.02)),
-                occlusion_duration_frames=(
-                    whole_count(duration[0], "occlusion_duration_frames entry"),
-                    whole_count(duration[1], "occlusion_duration_frames entry"),
-                ),
-                displacement_sigma=float(data.get("displacement_sigma", 0.05)),
-                seed=whole_count(data.get("seed", 0), "corruption seed", minimum=0),
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ConfigurationError(f"bad corruption config: {exc}") from exc
+        return _from_present_keys(cls, data, "corruption",
+                                  {"occlusion_duration_frames": _whole_counts, "seed": _seed})
 
 
 def _rest_angles(direction) -> tuple[float, float]:
@@ -244,12 +203,15 @@ def _pool_signal(rng: np.random.Generator, pool: tuple[float, ...], t: np.ndarra
     return out
 
 
-def generate_ground_truth(cfg: MotionConfig, tree: KinematicTree = DEFAULT_TREE) -> SkeletonSequence:
-    """Smooth absolute motion whose bone lengths hold exactly in every frame."""
+def generate_ground_truth(cfg: MotionConfig, tree: KinematicTree = DEFAULT_TREE,
+                          pool: tuple[float, ...] | None = None) -> SkeletonSequence:
+    """Smooth absolute motion whose bone lengths hold exactly in every frame.
+
+    pool: the shared sinusoid frequencies; drawn from cfg's seed when None.
+    """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_frames
     t = np.arange(n) / cfg.frame_rate_hz
-    pool = cfg.frequency_pool_hz
     if pool is None:
         pool = draw_frequency_pool(cfg.seed, cfg.motion_bandwidth_hz)
     root = np.empty((n, 3))
@@ -279,7 +241,7 @@ def generate_ground_truth(cfg: MotionConfig, tree: KinematicTree = DEFAULT_TREE)
     for joint in tree.topological_order()[1:]:
         parent = tree.parent_of(joint)
         data[:, joint_slice(joint)] = (
-            data[:, joint_slice(parent)] + cfg.bone_lengths[joint] * directions[joint]
+            data[:, joint_slice(parent)] + DEFAULT_BONE_LENGTHS[joint] * directions[joint]
         )
     return SkeletonSequence(data, Encoding.ABSOLUTE, cfg.frame_rate_hz)
 
@@ -382,19 +344,25 @@ class Corpus:
         return {name: self._split(name) for name in SPLIT_NAMES}
 
 
-def split_frame_counts(total: int, ratios) -> tuple[int, int, int]:
-    try:
-        ratios = tuple(float(r) for r in ratios)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"split_ratios must be 3 numbers, got {ratios!r}") from exc
-    if len(ratios) != 3:
-        raise ConfigurationError("split_ratios must have exactly 3 entries")
-    if any(r <= 0 for r in ratios):
+def read_split_ratios(raw) -> tuple[float, float, float]:
+    """Three positive finite numbers that sum to 1, as floats."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+        raise ConfigurationError(f"split_ratios must be a list of 3 numbers, got {raw!r}")
+    ratios = tuple(real_number(r, "split_ratios entry") for r in raw)
+    if not all(r > 0 for r in ratios):
         raise ConfigurationError("split ratios must be positive")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ConfigurationError(f"split ratios must sum to 1, got {sum(ratios)}")
-    n_train = round(ratios[0] * total)
-    n_val = round(ratios[1] * total)
+    return ratios
+
+
+def split_frame_counts(total: int, ratios) -> tuple[int, int, int]:
+    ratios = read_split_ratios(ratios)
+    try:
+        n_train = round(ratios[0] * total)
+        n_val = round(ratios[1] * total)
+    except OverflowError as exc:
+        raise ConfigurationError(f"{total} frames are too many to split") from exc
     n_test = total - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise ConfigurationError("every split needs at least one frame")
@@ -412,21 +380,17 @@ def build_corpus(
     Each split is generated independently with seeds derived from the two
     config seeds, so splits share motion statistics but not trajectories.
     """
+    split_ratios = read_split_ratios(split_ratios)
     counts = split_frame_counts(motion_cfg.n_frames, split_ratios)
     motion_seeds = np.random.SeedSequence(motion_cfg.seed).generate_state(3)
     corruption_seeds = np.random.SeedSequence(corruption_cfg.seed).generate_state(3)
     # one frequency pool for all splits: train must cover the test manifold
-    pool = motion_cfg.frequency_pool_hz
-    if pool is None:
-        pool = draw_frequency_pool(motion_cfg.seed, motion_cfg.motion_bandwidth_hz)
+    pool = draw_frequency_pool(motion_cfg.seed, motion_cfg.motion_bandwidth_hz)
     pairs = {}
     for i, (name, n_frames) in enumerate(zip(SPLIT_NAMES, counts)):
-        split_motion = replace(
-            motion_cfg, n_frames=n_frames, seed=int(motion_seeds[i]),
-            frequency_pool_hz=pool,
-        )
+        split_motion = replace(motion_cfg, n_frames=n_frames, seed=int(motion_seeds[i]))
         split_corruption = replace(corruption_cfg, seed=int(corruption_seeds[i]))
-        clean = generate_ground_truth(split_motion, tree)
+        clean = generate_ground_truth(split_motion, tree, pool)
         pairs[name] = SequencePair(corrupt(clean, split_corruption), clean)
     return Corpus(
         train=pairs["train"],
@@ -434,7 +398,7 @@ def build_corpus(
         test=pairs["test"],
         motion_config=motion_cfg,
         corruption_config=corruption_cfg,
-        split_ratios=tuple(float(r) for r in split_ratios),
+        split_ratios=split_ratios,
     )
 
 
@@ -447,8 +411,8 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": 1,
-        "motion_config": corpus.motion_config.to_dict(),
-        "corruption_config": corpus.corruption_config.to_dict(),
+        "motion_config": asdict(corpus.motion_config),
+        "corruption_config": asdict(corpus.corruption_config),
         "split_ratios": list(corpus.split_ratios),
         "splits": {},
     }
@@ -502,7 +466,7 @@ def read_corpus(corpus_dir) -> Corpus:
             **readers,
             motion_config=MotionConfig.from_dict(manifest["motion_config"]),
             corruption_config=CorruptionConfig.from_dict(manifest["corruption_config"]),
-            split_ratios=tuple(float(r) for r in manifest["split_ratios"]),
+            split_ratios=read_split_ratios(manifest["split_ratios"]),
         )
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise DataError(f"corpus manifest {manifest_path} is malformed: {exc}") from exc

@@ -1,14 +1,18 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skelrefine
 from skelrefine import cli, drnn, errors, fusion, metrics, seqio, synth
@@ -171,6 +175,17 @@ BAD_CONFIG_EDITS = {
     "hidden_size_fraction": lambda c: c["pdrnn"].update(hidden_sizes=[10, 10.5]),
     "layer_index_fraction": lambda c: c["vdrnn"].update(recurrent_layer_index=1.5),
     "network_seed_boolean": lambda c: c["vdrnn_plus"].update(seed=True),
+    # real-valued fields take finite JSON numbers only
+    "split_ratios_nan": lambda c: c["corpus"].update(split_ratios=[float("nan"), 0.5, 0.5]),
+    "split_ratios_strings": lambda c: c["corpus"].update(split_ratios=["0.6", "0.2", "0.2"]),
+    "angle_amplitude_nan": lambda c: c["corpus"].update(angle_amplitude_rad=float("nan")),
+    "jitter_sigma_nan": lambda c: c["corpus"]["corruption"].update(jitter_sigma=float("nan")),
+    "jitter_sigma_string": lambda c: c["corpus"]["corruption"].update(jitter_sigma="0.01"),
+    "occlusion_rate_boolean": lambda c: c["corpus"]["corruption"].update(occlusion_rate=True),
+    "theta_boolean": lambda c: c["fusion"].update(theta=False),
+    "theta_string": lambda c: c["fusion"].update(theta="0.05"),
+    # total_frames is the one length key
+    "total_frames_and_n_frames": lambda c: c["corpus"].update(total_frames=60, n_frames=30),
 }
 
 
@@ -186,12 +201,53 @@ def test_malformed_config_is_one_line_usage_error(tmp_path, capsys, edit):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _leaf_paths(value, (*path, index))
+    else:
+        yield path
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**400, 10**400),
+    st.sampled_from([10**400, -10**400, 2**1024, math.nan, math.inf, -math.inf]),
+    st.floats(), st.text(max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(list(_leaf_paths(TOY_CONFIG))),
+       value=st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3)))
+def test_any_leaf_edit_loads_or_is_a_configuration_error(path, value):
+    # load_config allocates nothing by the values it reads, so huge counts are safe
+    config = json.loads(json.dumps(TOY_CONFIG))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as folder:
+        config_path = Path(folder) / "config.json"
+        config_path.write_text(json.dumps(config))
+        try:
+            cli.load_config(config_path)
+        except errors.ConfigurationError:
+            pass
+
+
 def test_optimizer_method_lbfgs_still_loads(tmp_path):
     config = json.loads(json.dumps(TOY_CONFIG))
     config["optimizer"]["method"] = "lbfgs"
+    del config["vdrnn"]["max_iterations"]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert cli.load_config(path).optimizer == OptimizerSpec(max_iterations=10)
+    # a network without its own budget takes the optimizer section's
+    assert cli.load_config(path).optimizers == {
+        "pdrnn": OptimizerSpec(max_iterations=8), "vdrnn": OptimizerSpec(max_iterations=10),
+        "vdrnn_plus": OptimizerSpec(max_iterations=6)}
 
 
 def test_readme_minimal_config_loads(tmp_path):
@@ -200,8 +256,9 @@ def test_readme_minimal_config_loads(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(block)
     cfg = cli.load_config(path)
-    assert cfg.optimizer == OptimizerSpec(max_iterations=200)
-    assert cfg.network_iterations == {"pdrnn": 500, "vdrnn": 80, "vdrnn_plus": 80}
+    assert cfg.optimizers == {"pdrnn": OptimizerSpec(max_iterations=500),
+                              "vdrnn": OptimizerSpec(max_iterations=80),
+                              "vdrnn_plus": OptimizerSpec(max_iterations=80)}
     assert cfg.motion.n_frames == 7300
     assert cfg.variants == ("raw", "pdrnn", "sknn", "kf", "sknnkf")
 
@@ -400,7 +457,7 @@ class TestRefineAndEval:
 
     @pytest.mark.parametrize("malformed", [
         "payload_list", "payload_string", "config_string", "arrays_list", "entry_string",
-        "data_string", "window_fraction", "seed_boolean",
+        "data_string", "data_strings", "data_booleans", "window_fraction", "seed_boolean",
     ])
     def test_malformed_checkpoint_is_one_line_data_error(self, workspace, capsys, malformed):
         tmp_path, config = workspace
@@ -424,6 +481,12 @@ class TestRefineAndEval:
             payload["config"]["window_length"] = 7.5
         elif malformed == "seed_boolean":
             payload["config"]["seed"] = True
+        elif malformed == "data_strings":
+            data = payload["arrays"]["recurrent"]["data"]
+            payload["arrays"]["recurrent"]["data"] = [str(v) for v in data]
+        elif malformed == "data_booleans":
+            data = payload["arrays"]["recurrent"]["data"]
+            payload["arrays"]["recurrent"]["data"] = [v > 0 for v in data]
         else:
             payload["arrays"]["recurrent"]["data"] = "x"
         checkpoint.write_text(json.dumps(payload))

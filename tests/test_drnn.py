@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -91,13 +93,13 @@ class TestConfig:
         ("window_length", 7.9), ("seed", -1), ("seed", False),
     ])
     def test_from_dict_takes_whole_numbers_only(self, field, value):
-        data = tiny_config().to_dict()
+        data = asdict(tiny_config())
         data[field] = value
         with pytest.raises(ConfigurationError, match=field.rstrip("s")):
             DrnnConfig.from_dict(data)
 
     def test_from_dict_accepts_integral_floats(self):
-        data = tiny_config().to_dict()
+        data = asdict(tiny_config())
         data.update(window_length=3.0, hidden_sizes=[4.0, 5], seed=0.0)
         cfg = DrnnConfig.from_dict(data)
         assert cfg == tiny_config(seed=0)

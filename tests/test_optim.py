@@ -15,6 +15,7 @@ from skelrefine.optim import (
     _Point,
     _strong_wolfe,
     minimize,
+    real_number,
     whole_count,
 )
 
@@ -262,3 +263,17 @@ class TestWholeCount:
     def test_rejects_what_is_not_a_whole_number_from_the_minimum(self, raw):
         with pytest.raises(ConfigurationError, match="seed"):
             whole_count(raw, "seed", minimum=0)
+
+
+class TestRealNumber:
+    def test_returns_a_float(self):
+        assert real_number(0.05, "theta") == 0.05
+        assert type(real_number(30, "frame_rate_hz")) is float
+        assert real_number(-2, "x") == -2.0
+
+    @pytest.mark.parametrize("raw", [
+        math.nan, math.inf, -math.inf, 10**400, True, False, "0.05", None, [0.05],
+    ], ids=["nan", "inf", "-inf", "huge_int", "true", "false", "string", "null", "list"])
+    def test_rejects_what_is_not_a_finite_number(self, raw):
+        with pytest.raises(ConfigurationError, match="theta must be a finite number"):
+            real_number(raw, "theta")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from skelrefine import seqio
+from skelrefine.cli import main
 from skelrefine.errors import DataError
 from skelrefine.seqio import read_sequence, write_sequence
 from skelrefine.skeleton import POSE_DIM, Encoding, SkeletonSequence
@@ -120,6 +121,10 @@ def test_header_carries_encoding(tmp_path):
             '{"frame_rate_hz": 30.0, "encoding": "absolute"}',
             json.dumps({"t": 0, "joints": [float("nan")] * POSE_DIM}).replace("NaN", "1e999"),
         ],
+        ['{"frame_rate_hz": true, "encoding": "absolute"}',
+         json.dumps({"t": 0, "joints": [0.0] * POSE_DIM})],
+        ['{"frame_rate_hz": Infinity, "encoding": "absolute"}',
+         json.dumps({"t": 0, "joints": [0.0] * POSE_DIM})],
     ],
 )
 def test_malformed_files_rejected(tmp_path, lines):
@@ -127,3 +132,14 @@ def test_malformed_files_rejected(tmp_path, lines):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError):
         read_sequence(path)
+
+
+@pytest.mark.parametrize("frame_rate", ["true", "Infinity"])
+def test_header_frame_rate_is_a_one_line_data_error_naming_the_file(tmp_path, capsys,
+                                                                     frame_rate):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"frame_rate_hz": {frame_rate}, "encoding": "absolute"}}\n'
+                    + json.dumps({"t": 0, "joints": [0.0] * POSE_DIM}) + "\n")
+    assert main(["eval", "--pred", str(path), "--truth", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from skelrefine.skeleton import (
     velocities,
 )
 from skelrefine.synth import (
+    DEFAULT_BONE_LENGTHS,
     DEFAULT_SPLIT_RATIOS,
     CorruptionConfig,
     MotionConfig,
@@ -32,20 +34,25 @@ class TestMotionConfig:
         with pytest.raises(ConfigurationError):
             MotionConfig(n_frames=10, frame_rate_hz=30.0, motion_bandwidth_hz=15.0)
 
-    def test_bone_lengths_must_be_positive(self):
-        lengths = dict(MotionConfig(n_frames=10).bone_lengths)
-        lengths[JointId.NECK] = 0.0
-        with pytest.raises(ConfigurationError):
-            MotionConfig(n_frames=10, bone_lengths=lengths)
-
-    def test_frequency_pool_validated(self):
-        with pytest.raises(ConfigurationError):
-            MotionConfig(n_frames=10, motion_bandwidth_hz=1.0, frequency_pool_hz=(2.0,))
-
     def test_round_trip_through_dict(self):
-        cfg = MotionConfig(n_frames=50, seed=3, motion_bandwidth_hz=0.7,
-                           frequency_pool_hz=(0.2, 0.5))
-        assert MotionConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = MotionConfig(n_frames=50, seed=3, motion_bandwidth_hz=0.7)
+        assert MotionConfig.from_dict(asdict(cfg)) == cfg
+
+    def test_from_dict_defaults_absent_keys_and_ignores_removed_settings(self):
+        # a manifest that records bone_lengths or frequency_pool_hz still loads
+        cfg = MotionConfig(n_frames=50, seed=3)
+        old = {"n_frames": 50, "seed": 3, "bone_lengths": {"neck": 0.12},
+               "frequency_pool_hz": None}
+        assert MotionConfig.from_dict(old) == cfg
+        assert CorruptionConfig.from_dict({"seed": 2}) == CorruptionConfig(seed=2)
+
+    @pytest.mark.parametrize("key,value", [
+        ("frame_rate_hz", True), ("motion_bandwidth_hz", "0.8"),
+        ("angle_amplitude_rad", float("nan")), ("root_amplitude_m", float("inf")),
+    ])
+    def test_from_dict_takes_finite_numbers_only(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            MotionConfig.from_dict({"n_frames": 50, key: value})
 
 
 class TestGroundTruth:
@@ -64,7 +71,7 @@ class TestGroundTruth:
             parent = DEFAULT_TREE.parent_of(joint)
             bones = seq.data[:, joint_slice(joint)] - seq.data[:, joint_slice(parent)]
             lengths = np.linalg.norm(bones, axis=1)
-            assert np.max(np.abs(lengths - cfg.bone_lengths[joint])) < 1e-9
+            assert np.max(np.abs(lengths - DEFAULT_BONE_LENGTHS[joint])) < 1e-9
 
     def test_self_aje_is_zero(self):
         seq = generate_ground_truth(MotionConfig(n_frames=30, seed=3))
@@ -81,8 +88,7 @@ class TestGroundTruth:
     def test_pinned_single_frequency_pool_makes_motion_periodic(self):
         # one shared 0.2 Hz sinusoid per signal: the whole pose trajectory
         # repeats every 150 frames at 30 fps
-        cfg = MotionConfig(n_frames=310, seed=6, frequency_pool_hz=(0.2,))
-        seq = generate_ground_truth(cfg)
+        seq = generate_ground_truth(MotionConfig(n_frames=310, seed=6), pool=(0.2,))
         assert np.max(np.abs(seq.data[:150] - seq.data[150:300])) < 1e-9
 
 
@@ -156,6 +162,21 @@ class TestCorrupt:
             CorruptionConfig(jitter_sigma=-0.1)
         with pytest.raises(ConfigurationError):
             CorruptionConfig(occlusion_duration_frames=(0, 4))
+
+
+class TestCorruptionConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("jitter_sigma", float("nan")), ("jitter_sigma", "0.01"), ("occlusion_rate", True),
+        ("displacement_sigma", -float("inf")),
+    ])
+    def test_from_dict_takes_finite_numbers_only(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            CorruptionConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("duration", [(2, 1), (0, 3), (3, 6, 9), (3,)])
+    def test_occlusion_duration_is_an_ordered_pair_from_one(self, duration):
+        with pytest.raises(ConfigurationError, match="occlusion_duration_frames"):
+            CorruptionConfig.from_dict({"occlusion_duration_frames": list(duration)})
 
 
 class TestCorpus:
