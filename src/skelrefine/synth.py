@@ -85,8 +85,7 @@ _SIGNAL_COMPONENTS = 3
 DEFAULT_SPLIT_RATIOS = (50 / 73, 8 / 73, 15 / 73)  # 5000/800/1500 at 7300 frames
 
 
-def _seed(raw, what: str) -> int:
-    return whole_count(raw, what, minimum=0)
+_read_seed = partial(whole_count, minimum=0)
 
 
 def _whole_counts(raw, what: str) -> tuple[int, ...]:
@@ -140,7 +139,7 @@ class MotionConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "MotionConfig":
         return _from_present_keys(cls, data, "motion",
-                                  {"n_frames": whole_count, "seed": _seed})
+                                  {"n_frames": whole_count, "seed": _read_seed})
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ class CorruptionConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "CorruptionConfig":
         return _from_present_keys(cls, data, "corruption",
-                                  {"occlusion_duration_frames": _whole_counts, "seed": _seed})
+                                  {"occlusion_duration_frames": _whole_counts, "seed": _read_seed})
 
 
 def _rest_angles(direction) -> tuple[float, float]:
