@@ -12,6 +12,11 @@ Two application wrappers cover the refinement roles: position denoising
 the hidden state is carried across the entire sequence; windows only bound
 the training horizon. Every window and every stream starts from a zero
 recurrent state.
+
+Training runs window batches step by step over time-major activation slabs,
+which backpropagation reads back. Inference runs each layer as one GEMM over
+the whole stream; only the recurrent term, which needs the previous frame's
+activation, is a loop over frames.
 """
 
 from __future__ import annotations
@@ -193,18 +198,15 @@ def unpack_params(config: DrnnConfig, vector: np.ndarray) -> DrnnParams:
     return _params_from_arrays(config, arrays)
 
 
-def _forward_batch(params: DrnnParams, inputs: np.ndarray, keep_cache: bool = False):
+def _forward_batch(params: DrnnParams, inputs: np.ndarray):
     """Batched forward pass over (batch, time, input_dim) windows.
 
     Every window starts from a zero recurrent state. Returns (outputs,
-    acts). With keep_cache, acts holds one time-major (time, batch, size)
-    activation slab per hidden layer: each step's layer GEMM writes straight
-    into the step's row, the bias, the recurrent term and the ReLU are
-    applied there in place, and the recurrent layer's state entering step t
-    is row t - 1 of its slab (zeros at t = 0). Without keep_cache, acts is
-    None and each step's activations are fresh arrays, dropped as soon as
-    the next layer has read them. Both ways compute the same operations on
-    the same operands, so the outputs agree bit for bit.
+    acts): acts holds one time-major (time, batch, size) activation slab per
+    hidden layer. Each step's layer GEMM writes straight into the step's row,
+    the bias, the recurrent term and the ReLU are applied there in place, and
+    the recurrent layer's state entering step t is row t - 1 of its slab
+    (zeros at t = 0).
     """
     cfg = params.config
     x = np.asarray(inputs, dtype=np.float64)
@@ -217,12 +219,12 @@ def _forward_batch(params: DrnnParams, inputs: np.ndarray, keep_cache: bool = Fa
         raise DimensionError("window must contain at least one frame")
     rec = cfg.recurrent_layer_index - 1
     h = np.zeros((n_batch, cfg.recurrent_size))
-    acts = [np.empty((n_time, n_batch, size)) for size in cfg.hidden_sizes] if keep_cache else None
+    acts = [np.empty((n_time, n_batch, size)) for size in cfg.hidden_sizes]
     outputs = np.empty((n_batch, n_time, cfg.output_dim))
     for t in range(n_time):
         a = x[:, t, :]
         for layer, weight in enumerate(params.inter):
-            pre = np.matmul(a, weight, out=acts[layer][t]) if keep_cache else a @ weight
+            pre = np.matmul(a, weight, out=acts[layer][t])
             pre += params.biases[layer]
             if layer == rec:
                 pre += h @ params.recurrent
@@ -235,12 +237,40 @@ def _forward_batch(params: DrnnParams, inputs: np.ndarray, keep_cache: bool = Fa
 
 
 def run_stream(params: DrnnParams, stream) -> np.ndarray:
-    """Apply the network across a whole (frames, dim) stream, state carried."""
+    """Apply the network across a whole (frames, dim) stream, state carried.
+
+    Each layer is one (frames, size) GEMM over the whole stream, with its
+    bias and ReLU applied in place. Only the recurrent term needs the
+    previous frame: after its input GEMM the recurrent layer walks the
+    frames, adding the previous frame's activation times the recurrent
+    weights to each row before that row's ReLU. The state starts at zero and
+    stays 1-D. The caller's stream is not written. Raises DimensionError for
+    a stream that is not (frames, input_dim) with at least one frame.
+    """
+    cfg = params.config
     s = np.asarray(stream, dtype=np.float64)
-    if s.ndim != 2:
-        raise DimensionError(f"stream must be 2-D, got {s.shape}")
-    outputs, _ = _forward_batch(params, s[None])
-    return outputs[0]
+    if s.ndim != 2 or s.shape[1] != cfg.input_dim:
+        raise DimensionError(
+            f"expected a stream of shape (frames, {cfg.input_dim}), got {s.shape}"
+        )
+    if s.shape[0] < 1:
+        raise DimensionError("stream must contain at least one frame")
+    a = s
+    for layer, weight in enumerate(params.inter):
+        pre = a @ weight
+        pre += params.biases[layer]
+        if layer == cfg.recurrent_layer_index - 1:
+            # row 0 enters with a zero state; each later row adds h @ R first
+            h = np.maximum(pre[0], 0.0, out=pre[0])
+            for row in pre[1:]:
+                row += h @ params.recurrent
+                h = np.maximum(row, 0.0, out=row)
+        else:
+            np.maximum(pre, 0.0, out=pre)
+        a = pre
+    outputs = a @ params.out_weight
+    outputs += params.out_bias
+    return outputs
 
 
 @dataclass(frozen=True)
@@ -316,8 +346,8 @@ def _check_batch(config: DrnnConfig, batch: TrainingBatch) -> None:
 def loss_value(params: DrnnParams, batch: TrainingBatch) -> float:
     """Sum of squared output errors over the whole batch."""
     _check_batch(params.config, batch)
-    outputs, _ = _forward_batch(params, batch.inputs)
-    diff = outputs - batch.targets
+    diff, _ = _forward_batch(params, batch.inputs)
+    diff -= batch.targets
     return float(np.vdot(diff, diff))
 
 
@@ -335,7 +365,7 @@ def loss_and_gradient(params: DrnnParams, batch: TrainingBatch) -> tuple[float, 
     cfg = params.config
     _check_batch(cfg, batch)
     x, target = batch.inputs, batch.targets
-    diff, acts = _forward_batch(params, x, keep_cache=True)
+    diff, acts = _forward_batch(params, x)
     diff -= target
     loss = float(np.vdot(diff, diff))
     if not np.isfinite(loss):

@@ -603,6 +603,11 @@ def run_pipeline(variant: str, seq: SkeletonSequence, models: FusionModels) -> S
     return seq.with_data(fused)
 
 
+# The fewest validation frames a gate or noise fit takes: their differences
+# are the two velocity residuals a variance needs.
+MIN_FIT_FRAMES = 3
+
+
 def fit_fusion_models(
     corpus,
     tree: KinematicTree,
@@ -623,13 +628,22 @@ def fit_fusion_models(
     of required_models, so the Kalman noise comes before the states' store
     and gate. The networks the variants rely on must be supplied. The train
     split is used only when a store is fitted, so a noise-only fit (kf)
-    leaves a lazily read corpus's train files unread.
+    leaves a lazily read corpus's train files unread. A validation split of
+    fewer than MIN_FIT_FRAMES frames raises InsufficientFramesError.
     """
     want = dict.fromkeys(name for v in variants for name in required_models(v))
     models = FusionModels(tree=tree, pdrnn=pdrnn, vdrnn=vdrnn, vdrnn_plus=vdrnn_plus)
     for net in NETWORKS:
         if net in want and getattr(models, net) is None:
             raise ConfigurationError(f"requested variants need the {net} network")
+    stores = {spec.store for spec in VARIANTS.values()}
+    validation_fits = [name for name in want if name not in NETWORKS and name not in stores]
+    n_val = len(corpus.validation.clean)
+    if validation_fits and n_val < MIN_FIT_FRAMES:
+        raise InsufficientFramesError(
+            f"the validation split has {n_val} frames; fitting {', '.join(validation_fits)} "
+            f"needs at least {MIN_FIT_FRAMES}"
+        )
 
     train = None  # built at the first store
     val = StreamBuilder(corpus.validation.corrupted, models)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seqio
-from .errors import DimensionError, EncodingError, InsufficientFramesError
+from .errors import DimensionError, EncodingError, InsufficientFramesError, NumericalError
 from .skeleton import N_JOINTS, POSE_DIM, Encoding, SkeletonSequence
 
 JERK_BIN_WIDTH = 0.03
@@ -105,11 +105,26 @@ class EvalReport:
 
 
 def evaluate(pred: SkeletonSequence, truth: SkeletonSequence) -> EvalReport:
-    je = jerk_error(pred, truth)
+    """APE, AJE and the jerk-error bands of a prediction against the truth.
+
+    Finite inputs can still overflow (a pose near 1e306 m is finite), so a
+    report holding a non-finite APE, AJE or band raises NumericalError
+    instead of being returned.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        je = jerk_error(pred, truth)
+        position_error = ape(pred, truth)
+        bands = _banded_mass(je)
+        mean_jerk_error = float(je.mean())
+    if not (np.isfinite(position_error) and np.isfinite(mean_jerk_error)
+            and np.all(np.isfinite(bands))):
+        raise NumericalError(
+            "evaluation overflowed: APE, AJE or a jerk-error band is not finite"
+        )
     return EvalReport(
-        ape=ape(pred, truth),
-        aje=float(je.mean()),
-        histogram=tuple(float(v) for v in _banded_mass(je)),
+        ape=position_error,
+        aje=mean_jerk_error,
+        histogram=tuple(float(v) for v in bands),
         m=int(je.size),
     )
 

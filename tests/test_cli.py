@@ -534,6 +534,21 @@ class TestRefineAndEval:
         assert run("eval", "--pred", tmp_path / "corpus" / "test.clean.jsonl",
                    "--truth", tmp_path / "corpus" / "train.clean.jsonl") == 2
 
+    def test_eval_overflowing_prediction_is_one_line_numerical_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        truth = SkeletonSequence(rng.normal(size=(10, POSE_DIM)), Encoding.ABSOLUTE)
+        truth_path, pred_path = tmp_path / "truth.jsonl", tmp_path / "pred.jsonl"
+        seqio.write_sequence(truth_path, truth)
+        # finite, so the reader accepts it, but its errors overflow
+        seqio.write_sequence(pred_path, truth.with_data(truth.data * 1e306))
+        hist_csv = tmp_path / "hist.csv"
+        code = run("eval", "--pred", pred_path, "--truth", truth_path, "--out", hist_csv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not hist_csv.exists()
+
     def test_refined_outputs_parse_back(self, trained):
         tmp_path, config = trained
         source = tmp_path / "corpus" / "test.corrupted.jsonl"

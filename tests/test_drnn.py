@@ -2,6 +2,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelrefine import optim
 from skelrefine.drnn import (
@@ -156,6 +158,51 @@ class TestForward:
             run_stream(params, np.ones((4, 5)))
         with pytest.raises(DimensionError):
             run_stream(params, np.ones(3))
+        with pytest.raises(DimensionError):
+            run_stream(params, np.ones((0, 3)))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_frame_reference(self, data):
+        n_layers = data.draw(st.integers(1, 3), label="n_layers")
+        hidden_sizes = tuple(data.draw(st.lists(st.integers(1, 12), min_size=n_layers,
+                                                max_size=n_layers), label="hidden_sizes"))
+        rec = data.draw(st.integers(1, n_layers), label="recurrent_layer_index")
+        input_dim = data.draw(st.integers(1, 9), label="input_dim")
+        output_dim = data.draw(st.integers(1, 9), label="output_dim")
+        n_frames = data.draw(st.integers(1, 40), label="n_frames")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params, _ = random_instance(rng, hidden_sizes, rec, 2, 1,
+                                    input_dim=input_dim, output_dim=output_dim)
+        stream = rng.normal(size=(n_frames, input_dim))
+        before = stream.copy()
+        got = run_stream(params, stream)
+        want = per_frame_reference(params, stream)
+        assert got.shape == want.shape == (n_frames, output_dim)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert np.array_equal(stream, before)
+
+
+def per_frame_reference(params, stream):
+    """The batch-1 pass run_stream replaced: each frame a (1, dim) row
+    through every layer in turn, the recurrent state a (1, size) row."""
+    cfg = params.config
+    rec = cfg.recurrent_layer_index - 1
+    h = np.zeros((1, cfg.recurrent_size))
+    outputs = np.empty((stream.shape[0], cfg.output_dim))
+    for t in range(stream.shape[0]):
+        a = stream[t : t + 1]
+        for layer, weight in enumerate(params.inter):
+            pre = a @ weight
+            pre += params.biases[layer]
+            if layer == rec:
+                pre += h @ params.recurrent
+            a = np.maximum(pre, 0.0)
+            if layer == rec:
+                h = a
+        outputs[t] = (a @ params.out_weight + params.out_bias)[0]
+    return outputs
 
 
 def central_difference_gradient(config, params, batch, eps=1e-6):
@@ -380,15 +427,14 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("case", BIT_IDENTITY_CASES)
     def test_cached_and_uncached_forward_agree_bitwise(self, case):
+        """loss_value's forward pass and loss_and_gradient's both run on the
+        time-major slabs, and their losses agree bit for bit."""
         hidden_sizes, rec, window, n_windows, views = BIT_IDENTITY_CASES[case]
         rng = np.random.default_rng(sum(map(ord, case)) + 1)
         params, batch = random_instance(rng, hidden_sizes, rec, window, n_windows, views=views)
-        cached, acts = _forward_batch(params, batch.inputs, keep_cache=True)
-        plain, none = _forward_batch(params, batch.inputs)
-        assert none is None
+        outputs, acts = _forward_batch(params, batch.inputs)
+        assert outputs.shape == batch.targets.shape
         assert [a.shape for a in acts] == [(window, n_windows, s) for s in hidden_sizes]
-        assert np.array_equal(cached, plain)
-        # loss_value and run_stream take the uncached path
         assert loss_value(params, batch) == loss_and_gradient(params, batch)[0]
 
     @pytest.mark.parametrize("views", [False, True], ids=["arrays", "window_views"])

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelrefine import drnn, skeleton
-from skelrefine.errors import ConfigurationError, EncodingError, NumericalError
+from skelrefine.errors import (
+    ConfigurationError,
+    EncodingError,
+    InsufficientFramesError,
+    NumericalError,
+)
 from skelrefine.fusion import (
     _sknn_track,
     FusionModels,
@@ -767,3 +772,27 @@ class TestPipeline:
         corpus, _ = pipeline_setup
         with pytest.raises(ConfigurationError, match="pdrnn"):
             fit_fusion_models(corpus, DEFAULT_TREE, variants=("sknn",))
+
+
+@pytest.mark.parametrize("variant", ["sknn", "kf", "sknnkf"])
+def test_fit_needs_three_validation_frames(variant):
+    corpus = build_corpus(MotionConfig(n_frames=60, seed=5, motion_bandwidth_hz=0.8),
+                          CorruptionConfig(jitter_sigma=0.01, occlusion_rate=0.02, seed=6),
+                          (0.6, 0.2, 0.2))
+
+    def with_validation_frames(n):
+        val = corpus.validation
+        short = SequencePair(val.corrupted.with_data(val.corrupted.data[:n]),
+                             val.clean.with_data(val.clean.data[:n]))
+        return Corpus(corpus.train, short, corpus.test, corpus.motion_config,
+                      corpus.corruption_config, corpus.split_ratios)
+
+    networks = {name: drnn.init_params(drnn.DrnnConfig(hidden_sizes=(4, 4),
+                                                       recurrent_layer_index=1, seed=i))
+                for i, name in enumerate(NETWORKS)}
+    with pytest.raises(InsufficientFramesError, match="validation split has 2 frames"):
+        fit_fusion_models(with_validation_frames(2), DEFAULT_TREE, **networks, k=5,
+                          variants=(variant,))
+    # two velocity residuals are enough
+    fit_fusion_models(with_validation_frames(3), DEFAULT_TREE, **networks, k=5,
+                      variants=(variant,))
