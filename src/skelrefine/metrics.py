@@ -116,8 +116,7 @@ def evaluate(pred: SkeletonSequence, truth: SkeletonSequence) -> EvalReport:
         position_error = ape(pred, truth)
         bands = _banded_mass(je)
         mean_jerk_error = float(je.mean())
-    if not (np.isfinite(position_error) and np.isfinite(mean_jerk_error)
-            and np.all(np.isfinite(bands))):
+    if not np.all(np.isfinite([position_error, mean_jerk_error, *bands])):
         raise NumericalError(
             "evaluation overflowed: APE, AJE or a jerk-error band is not finite"
         )
