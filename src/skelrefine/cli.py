@@ -38,7 +38,6 @@ class PipelineConfig:
     knn_k: int
     theta: float
     theta_plus: float
-    variants: tuple[str, ...]
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -113,20 +112,12 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     fusion_raw = raw.get("fusion", {})
     if not isinstance(fusion_raw, dict):
         raise ConfigurationError("fusion section must be an object")
-    knn_k = whole_count(fusion_raw.get("k", 300), "fusion k")
-    theta, theta_plus = (real_number(fusion_raw.get(key, 0.05), f"fusion {key}")
+    knn_k = whole_count(fusion_raw.get("k", fusion.DEFAULT_K), "fusion k")
+    theta, theta_plus = (real_number(fusion_raw.get(key, fusion.DEFAULT_THETA), f"fusion {key}")
                          for key in ("theta", "theta_plus"))
     if not (0 <= theta < 1 and 0 <= theta_plus < 1):
         raise ConfigurationError(
             f"fusion theta and theta_plus must lie in [0, 1), got {theta} and {theta_plus}")
-
-    variants = raw.get("variants", ["raw", "pdrnn", "sknn", "kf", "sknnkf"])
-    if not isinstance(variants, list):
-        raise ConfigurationError(f"variants must be a list of names, got {variants!r}")
-    variants = tuple(variants)
-    for variant in variants:
-        if not isinstance(variant, str) or variant not in fusion.PIPELINE_VARIANTS:
-            raise ConfigurationError(f"unknown variant {variant!r} in config")
 
     return PipelineConfig(
         corpus_dir=corpus_dir,
@@ -140,7 +131,6 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
         knn_k=knn_k,
         theta=theta,
         theta_plus=theta_plus,
-        variants=variants,
     )
 
 

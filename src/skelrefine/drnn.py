@@ -22,6 +22,7 @@ activation, is a loop over frames.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -127,17 +128,10 @@ def _expected_shapes(config: DrnnConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def _params_from_arrays(config: DrnnConfig, arrays: dict[str, np.ndarray]) -> DrnnParams:
-    """DrnnParams from arrays named as _expected_shapes names them."""
-    layers = range(1, len(config.hidden_sizes) + 1)
-    return DrnnParams(
-        config,
-        [arrays[f"inter_{l}"] for l in layers],
-        [arrays[f"bias_{l}"] for l in layers],
-        arrays["recurrent"],
-        arrays["out_weight"],
-        arrays["out_bias"],
-    )
+def _params_from_arrays(config: DrnnConfig, arrays: list[np.ndarray]) -> DrnnParams:
+    """DrnnParams from arrays in the order of _expected_shapes."""
+    n = 2 * len(config.hidden_sizes)
+    return DrnnParams(config, arrays[0:n:2], arrays[1:n:2], *arrays[n:])
 
 
 def init_params(config: DrnnConfig) -> DrnnParams:
@@ -158,25 +152,14 @@ def init_params(config: DrnnConfig) -> DrnnParams:
 
 
 def zeros_like_params(params: DrnnParams) -> DrnnParams:
-    return DrnnParams(
-        params.config,
-        [np.zeros_like(u) for u in params.inter],
-        [np.zeros_like(b) for b in params.biases],
-        np.zeros_like(params.recurrent),
-        np.zeros_like(params.out_weight),
-        np.zeros_like(params.out_bias),
-    )
+    shapes = _expected_shapes(params.config)
+    return _params_from_arrays(params.config, [np.zeros(shape) for _, shape in shapes])
 
 
 def _param_arrays(params: DrnnParams) -> list[np.ndarray]:
-    arrays = []
-    for u, b in zip(params.inter, params.biases):
-        arrays.append(u)
-        arrays.append(b)
-    arrays.append(params.recurrent)
-    arrays.append(params.out_weight)
-    arrays.append(params.out_bias)
-    return arrays
+    """The live arrays of params in the order of _expected_shapes."""
+    layers = [a for pair in zip(params.inter, params.biases) for a in pair]
+    return [*layers, params.recurrent, params.out_weight, params.out_bias]
 
 
 def pack_params(params: DrnnParams) -> np.ndarray:
@@ -184,18 +167,14 @@ def pack_params(params: DrnnParams) -> np.ndarray:
 
 
 def unpack_params(config: DrnnConfig, vector: np.ndarray) -> DrnnParams:
-    shapes = _expected_shapes(config)
-    total = sum(int(np.prod(shape)) for _, shape in shapes)
+    """DrnnParams holding copies of pack_params' vector, cut into the arrays."""
+    shapes = [shape for _, shape in _expected_shapes(config)]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
     vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (total,):
-        raise DimensionError(f"parameter vector must have {total} entries, got {vector.shape}")
-    arrays = {}
-    offset = 0
-    for name, shape in shapes:
-        size = int(np.prod(shape))
-        arrays[name] = vector[offset : offset + size].reshape(shape).copy()
-        offset += size
-    return _params_from_arrays(config, arrays)
+    if vector.shape != (ends[-1],):
+        raise DimensionError(f"parameter vector must have {ends[-1]} entries, got {vector.shape}")
+    pieces = np.split(vector, ends[:-1])
+    return _params_from_arrays(config, [p.reshape(s).copy() for p, s in zip(pieces, shapes)])
 
 
 def _forward_batch(params: DrnnParams, inputs: np.ndarray):
@@ -518,7 +497,7 @@ def load_checkpoint(path) -> DrnnParams:
     arrays = payload.get("arrays", {})
     if not isinstance(arrays, dict):
         raise DataError(f"{path}: checkpoint arrays are not a JSON object")
-    loaded = {}
+    loaded = []
     for name, shape in _expected_shapes(config):
         entry = arrays.get(name)
         if entry is None:
@@ -529,10 +508,10 @@ def load_checkpoint(path) -> DrnnParams:
             raise DataError(
                 f"{path}: array {name!r} has shape {entry.get('shape')}, expected {list(shape)}"
             )
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         data = entry.get("data")
         data = seqio.finite_rows([data], size) if isinstance(data, list) else None
         if data is None:
             raise DataError(f"{path}: array {name!r} data must be {size} finite numbers")
-        loaded[name] = data.reshape(shape)
+        loaded.append(data.reshape(shape))
     return _params_from_arrays(config, loaded)

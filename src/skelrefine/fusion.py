@@ -45,6 +45,7 @@ microseconds per query, and a gated frame, search included, about 570.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -66,6 +67,10 @@ from .skeleton import (
 )
 
 VARIANCE_FLOOR = 1e-12
+# the neighbor count K and the gate's tail probability theta where no config
+# sets them
+DEFAULT_K = 300
+DEFAULT_THETA = 0.05
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ class GateModel:
         return np.asarray(deviation, dtype=np.float64) < self._thresholds
 
 
-def estimate_gate(validation_residuals, theta: float = 0.05) -> GateModel:
+def estimate_gate(validation_residuals, theta: float = DEFAULT_THETA) -> GateModel:
     """Fit per-component variances from residuals, mean pinned at 0.
 
     The residuals should be samples of the deviation the gate will test;
@@ -134,7 +139,7 @@ class NeighborStore:
 
     keys: np.ndarray  # (n, 48)
     targets: np.ndarray  # (n, 48)
-    k: int = 300
+    k: int = DEFAULT_K
 
     def __post_init__(self):
         keys = np.asarray(self.keys, dtype=np.float64)
@@ -171,6 +176,8 @@ class NeighborStore:
 _PREFILTER_SLACK = 4 * (POSE_DIM + 2)
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
+# Up to this largest |q_j|, q.q over 48 components cannot overflow.
+_QUERY_LIMIT = 1e153
 
 
 def nearest_indices(store: NeighborStore, query) -> np.ndarray:
@@ -178,8 +185,9 @@ def nearest_indices(store: NeighborStore, query) -> np.ndarray:
 
     Exact search; ties at equal distance go to the lower store index. k is
     clamped to the store size. The result is, bit for bit, that of a stable
-    argsort of d[i] = np.sum((keys[i] - q) ** 2) over the whole store; a
-    non-finite query raises NumericalError.
+    argsort of d[i] = np.sum((keys[i] - q) ** 2) over the whole store. A
+    non-finite query, or a k-th nearest d that overflows (every key beyond
+    it would tie at inf), raises NumericalError.
 
     When k < n, a prefilter picks the keys worth ranking exactly. For key k
     and query q, with m = 48 components, unit roundoff u = eps/2 and
@@ -216,18 +224,28 @@ def nearest_indices(store: NeighborStore, query) -> np.ndarray:
     d, index), with d computed only for the members of runs longer than
     one, is therefore the full sort's order with its lower-index
     tie-break; a tie in a puts both keys in one run, so the sort by a need
-    not be stable. When k >= n, or when S_max overflows, every key is
-    ranked by d.
+    not be stable. When k >= n, when a query component exceeds _QUERY_LIMIT
+    in magnitude (so that |q|^2 could overflow), or when S_max overflows,
+    every key is ranked by d.
     """
     q = np.asarray(query, dtype=np.float64)
-    if not np.all(np.isfinite(q)):
+    q_max = float(np.abs(q).max())
+    if not q_max < math.inf:  # NaN fails too
         raise NumericalError("nearest-neighbor query is not finite")
     keys = store.keys
     n = keys.shape[0]
     k = min(store.k, n)
-    bound = _PREFILTER_SLACK * (_EPS * (store._max_key_norm2 + float(q @ q)) + _TINY)
-    if k >= n or not np.isfinite(bound):
-        return np.argsort(np.sum((keys - q) ** 2, axis=1), kind="stable")[:k]
+    bound = math.inf
+    if q_max <= _QUERY_LIMIT:
+        bound = _PREFILTER_SLACK * (_EPS * (store._max_key_norm2 + float(q @ q)) + _TINY)
+    if k >= n or bound == math.inf:
+        with np.errstate(over="ignore"):
+            d = np.sum((keys - q) ** 2, axis=1)
+        nearest = np.argsort(d, kind="stable")[:k]
+        if d[nearest[-1]] == math.inf:
+            raise NumericalError(
+                f"nearest-neighbor distances overflow at a query component of {q_max:.3g}")
+        return nearest
     approx = store._key_norms2 - 2.0 * (keys @ q)
     kth = np.partition(approx, k - 1)[k - 1]
     candidates = np.flatnonzero(approx <= kth + 2.0 * bound)
@@ -614,9 +632,9 @@ def fit_fusion_models(
     pdrnn: drnn.DrnnParams | None = None,
     vdrnn: drnn.DrnnParams | None = None,
     vdrnn_plus: drnn.DrnnParams | None = None,
-    k: int = 300,
-    theta: float = 0.05,
-    theta_plus: float = 0.05,
+    k: int = DEFAULT_K,
+    theta: float = DEFAULT_THETA,
+    theta_plus: float = DEFAULT_THETA,
     variants: tuple[str, ...] = ("sknn", "kf", "sknnkf"),
 ) -> FusionModels:
     """Build the stores, gates and noise diagonals the requested variants name.

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import seqio
 from .errors import DimensionError, EncodingError, InsufficientFramesError, NumericalError
-from .skeleton import N_JOINTS, POSE_DIM, Encoding, SkeletonSequence
+from .skeleton import N_JOINTS, Encoding, SkeletonSequence
 
 JERK_BIN_WIDTH = 0.03
 JERK_BIN_COUNT = 10

@@ -85,8 +85,6 @@ class OptimizerSpec:
 @dataclass
 class MinimizeResult:
     x: np.ndarray
-    loss: float
-    gradient_inf_norm: float
     iterations: int
     n_evaluations: int
     converged: bool
@@ -260,8 +258,6 @@ def minimize(
 
     return MinimizeResult(
         x=x,
-        loss=f,
-        gradient_inf_norm=float(np.max(np.abs(g))),
         iterations=iteration,
         n_evaluations=evals,
         converged=converged,

@@ -94,7 +94,8 @@ def read_sequence(path) -> SkeletonSequence:
         joints = record.get("joints")
         if not isinstance(joints, list) or len(joints) != POSE_DIM:
             raise DataError(f"{path}:{lineno}: frame record needs {POSE_DIM} joint values")
-        if record.get("t") != len(frames):
+        # a JSON integer: true and 1.0 compare equal to 1 but are refused
+        if type(record.get("t")) is not int or record["t"] != len(frames):
             raise DataError(
                 f"{path}:{lineno}: frame index {record.get('t')!r}, expected {len(frames)}"
             )

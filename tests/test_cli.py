@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,8 +153,6 @@ BAD_CONFIG_EDITS = {
     "network_block_list": lambda c: c.update(vdrnn=[1, 2]),
     "paths_corpus_number": lambda c: c["paths"].update(corpus=3),
     "paths_models_null": lambda c: c["paths"].update(models=None),
-    "variants_number": lambda c: c.update(variants=5),
-    "variants_nested_list": lambda c: c.update(variants=[["raw"]]),
     "k_fraction": lambda c: c["fusion"].update(k=1.5),
     "k_boolean": lambda c: c["fusion"].update(k=True),
     # the optimizer's fixed settings and removed methods are not config keys
@@ -260,7 +259,6 @@ def test_readme_minimal_config_loads(tmp_path):
                               "vdrnn": OptimizerSpec(max_iterations=80),
                               "vdrnn_plus": OptimizerSpec(max_iterations=80)}
     assert cfg.motion.n_frames == 7300
-    assert cfg.variants == ("raw", "pdrnn", "sknn", "kf", "sknnkf")
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -549,6 +547,27 @@ class TestRefineAndEval:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not hist_csv.exists()
 
+    def test_refine_with_overflowing_distances_is_one_line_numerical_error(
+            self, trained, capsys):
+        tmp_path, config = trained
+        source = seqio.read_sequence(tmp_path / "corpus" / "test.corrupted.jsonl")
+        # finite, so the reader accepts it, but every neighbor distance overflows
+        huge = tmp_path / "huge.jsonl"
+        seqio.write_sequence(huge, source.with_data(source.data * 1e306))
+        capsys.readouterr()
+        for variant in ("sknn", "sknnkf"):
+            out = tmp_path / "out" / f"{variant}.jsonl"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run("refine", "--config", config, "--variant", variant,
+                           "--input", huge, "--out", out)
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert [str(w.message) for w in caught] == []
+            assert not out.exists()
+
     def test_refined_outputs_parse_back(self, trained):
         tmp_path, config = trained
         source = tmp_path / "corpus" / "test.corrupted.jsonl"
@@ -569,8 +588,10 @@ class TestRefineAndEval:
         json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + ["1.5"]}),
         json.dumps({"t": 1, "joints": [0.0] * (POSE_DIM - 1) + [True]}),
         json.dumps({"t": 1, "joints": [False] + [0.0] * (POSE_DIM - 1)}),
+        json.dumps({"t": True, "joints": [0.0] * POSE_DIM}),
+        json.dumps({"t": 1.0, "joints": [0.0] * POSE_DIM}),
     ], ids=["record_list", "null", "string", "object", "list", "infinity", "numeric_string",
-            "true", "false"])
+            "true", "false", "index_true", "index_float"])
     def test_malformed_sequence_is_one_line_data_error(self, workspace, capsys, bad_record):
         tmp_path, config = workspace
         good = tmp_path / "good.jsonl"

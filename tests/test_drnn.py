@@ -1,4 +1,6 @@
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +267,41 @@ def random_checkable_instance(rng):
             return cfg, params, batch
 
 
+@st.composite
+def random_params(draw):
+    """A network of 1-3 hidden layers with the temporal connection at any of
+    them, every width 1-9, and nonzero biases."""
+    n_layers = draw(st.integers(1, 3), label="n_layers")
+    widths = st.integers(1, 9)
+    cfg = DrnnConfig(
+        input_dim=draw(widths, label="input_dim"),
+        output_dim=draw(widths, label="output_dim"),
+        hidden_sizes=tuple(draw(st.lists(widths, min_size=n_layers, max_size=n_layers),
+                                label="hidden_sizes")),
+        recurrent_layer_index=draw(st.integers(1, n_layers), label="recurrent_layer_index"),
+        seed=draw(st.integers(0, 10**6), label="seed"),
+    )
+    params = init_params(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    params.biases = [rng.normal(size=b.shape) for b in params.biases]
+    params.out_bias = rng.normal(size=params.out_bias.shape)
+    return params
+
+
+def param_arrays(params):
+    return [*params.inter, *params.biases, params.recurrent, params.out_weight,
+            params.out_bias]
+
+
+def assert_same_params(got, want):
+    """Equal configs, and each attribute's arrays equal in count, shape,
+    dtype and bytes."""
+    assert got.config == want.config
+    assert len(got.inter) == len(want.inter) and len(got.biases) == len(want.biases)
+    for a, b in zip(param_arrays(got), param_arrays(want)):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
 class TestGradient:
     def test_zero_loss_and_gradient_when_targets_match_outputs(self):
         cfg = tiny_config()
@@ -299,11 +336,15 @@ class TestGradient:
         assert np.isclose(loss2, 2.0 * loss1, rtol=1e-14, atol=0)
         assert np.allclose(pack_params(g2), 2.0 * pack_params(g1), rtol=1e-13, atol=1e-18)
 
-    def test_pack_unpack_round_trip(self):
-        cfg = tiny_config(hidden_sizes=(3, 4, 2), recurrent_layer_index=3)
-        params = init_params(cfg)
-        again = unpack_params(cfg, pack_params(params))
-        assert np.array_equal(pack_params(again), pack_params(params))
+    @given(random_params())
+    @settings(max_examples=60, deadline=None)
+    def test_pack_unpack_round_trip(self, params):
+        vector = pack_params(params)
+        again = unpack_params(params.config, vector)
+        assert_same_params(again, params)
+        assert np.array_equal(pack_params(again), vector)
+        # copies, so that an optimizer may reuse its vector
+        assert not any(np.shares_memory(arr, vector) for arr in param_arrays(again))
 
     def test_dimension_mismatch_rejected(self):
         cfg = tiny_config()
@@ -657,14 +698,14 @@ class TestRefiners:
 
 
 class TestCheckpoint:
-    def test_round_trip_is_bitwise(self, tmp_path):
-        cfg = tiny_config(hidden_sizes=(4, 3), recurrent_layer_index=2)
-        params = init_params(cfg)
-        path = tmp_path / "net.json"
-        save_checkpoint(path, params)
-        loaded = load_checkpoint(path)
-        assert loaded.config == cfg
-        assert np.array_equal(pack_params(loaded), pack_params(params))
+    @given(random_params())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_is_bitwise(self, params):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "net.json"
+            save_checkpoint(path, params)
+            loaded = load_checkpoint(path)
+        assert_same_params(loaded, params)
 
     def test_shape_tampering_detected(self, tmp_path):
         import json

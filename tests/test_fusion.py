@@ -323,6 +323,21 @@ class TestNearestIndices:
         with pytest.raises(NumericalError):
             nearest_indices(store, query)
 
+    @pytest.mark.parametrize("k", [3, 8], ids=["prefilter", "full_sort"])
+    def test_overflowing_distances_are_numerical_error(self, k):
+        rng = np.random.default_rng(19)
+        keys = rng.normal(size=(8, POSE_DIM))
+        store = NeighborStore(keys, keys, k=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # finite, but every distance overflows: the k nearest are undefined
+            with pytest.raises(NumericalError):
+                nearest_indices(store, 1e306 * rng.normal(size=POSE_DIM))
+            # |q|^2 could overflow at the limit, but every distance is finite
+            query = rng.normal(size=POSE_DIM)
+            query[4] = 5e153
+            assert list(nearest_indices(store, query)) == brute_force_nearest(keys, query, k)
+
     def test_track_matches_brute_force_loop(self):
         rng = np.random.default_rng(17)
         keys = rng.normal(size=(120, POSE_DIM))
