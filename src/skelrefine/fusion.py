@@ -48,6 +48,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -78,8 +79,9 @@ class GateModel:
     """Per-component velocity-consistency test.
 
     A deviation d passes for component j when the two-sided tail probability
-    P(|N(0, sigma2[j])| > d) exceeds theta, i.e. d < sqrt(2 sigma2[j]) *
-    erfcinv(theta). theta = 0 disables the gate (everything passes).
+    P(|N(0, sigma2[j])| > d) exceeds theta, i.e. d < sqrt(sigma2[j]) *
+    (-Phi^-1(theta / 2)), with Phi the standard normal CDF. theta = 0
+    disables the gate (everything passes).
     """
 
     sigma2: np.ndarray  # (48,)
@@ -96,11 +98,8 @@ class GateModel:
         sigma2 = sigma2.copy()
         sigma2.setflags(write=False)
         object.__setattr__(self, "sigma2", sigma2)
-        # scipy loads only where a gate is built, which keeps it out of the
-        # commands that need none
-        from scipy import special
-
-        thresholds = np.sqrt(2.0 * sigma2) * special.erfcinv(self.theta)
+        z = -NormalDist().inv_cdf(self.theta / 2) if self.theta / 2 > 0 else math.inf
+        thresholds = np.sqrt(sigma2) * z
         thresholds.setflags(write=False)
         object.__setattr__(self, "_thresholds", thresholds)
 
@@ -115,14 +114,18 @@ def estimate_gate(validation_residuals, theta: float = DEFAULT_THETA) -> GateMod
     The residuals should be samples of the deviation the gate will test;
     fit_fusion_models passes implied-velocity deviations from a validation
     run of the recursion (see _fit_track_gate). Components with zero
-    empirical variance are floored at 1e-12 with a warning.
+    empirical variance are floored at 1e-12 with a warning; a variance that
+    is not finite raises NumericalError.
     """
     res = np.asarray(validation_residuals, dtype=np.float64)
     if res.ndim != 2 or res.shape[1] != POSE_DIM:
         raise ValueError(f"residuals must be (n, {POSE_DIM}), got {res.shape}")
     if res.shape[0] < 2:
         raise ValueError("need at least 2 residual vectors")
-    sigma2 = np.mean(res * res, axis=0)
+    with np.errstate(over="ignore"):
+        sigma2 = np.mean(res * res, axis=0)
+    if not np.all(np.isfinite(sigma2)):
+        raise NumericalError("the velocity gate's fitted variance is not finite")
     if np.any(sigma2 < VARIANCE_FLOOR):
         warnings.warn("zero-variance gate components floored at 1e-12", stacklevel=2)
         sigma2 = np.maximum(sigma2, VARIANCE_FLOOR)
@@ -156,7 +159,10 @@ class NeighborStore:
             raise ValueError("keys and targets must be finite")
         keys = keys.copy()
         targets = targets.copy()
-        key_norms2 = np.sum(keys * keys, axis=1)
+        # a norm that overflows is inf, which sends every query down
+        # nearest_indices' exact path
+        with np.errstate(over="ignore"):
+            key_norms2 = np.sum(keys * keys, axis=1)
         # component-major, so that a gather of neighbors along axis 1 is
         # C-contiguous and its row sums are numpy's pairwise sums
         targets_t = np.ascontiguousarray(targets.T)
@@ -380,7 +386,8 @@ def kalman_filter_stream(measurements, control_velocities, measurement_noise,
 def estimate_noise_covariances(position_residuals, velocity_residuals) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal measurement (R) and process (Q) noise from residual variances.
 
-    Variances are floored at 1e-12.
+    Variances are floored at 1e-12; one that is not finite raises
+    NumericalError.
     """
     r = _residual_variance(position_residuals, "position residuals")
     q = _residual_variance(velocity_residuals, "velocity residuals")
@@ -393,7 +400,11 @@ def _residual_variance(residuals, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be (n, {POSE_DIM}), got {res.shape}")
     if res.shape[0] < 2:
         raise ValueError(f"need at least 2 {what}")
-    return np.maximum(np.var(res, axis=0), VARIANCE_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.var(res, axis=0)
+    if not np.all(np.isfinite(var)):
+        raise NumericalError(f"the Kalman noise variance of the {what} is not finite")
+    return np.maximum(var, VARIANCE_FLOOR)
 
 
 @dataclass

@@ -568,6 +568,30 @@ class TestRefineAndEval:
             assert [str(w.message) for w in caught] == []
             assert not out.exists()
 
+    @pytest.mark.parametrize("split, variant", [
+        ("validation", "kf"), ("validation", "sknn"), ("train", "sknn"),
+    ])
+    def test_refit_on_an_overflowing_split_is_one_line_numerical_error(
+            self, trained, capsys, split, variant):
+        tmp_path, config = trained
+        path = tmp_path / "corpus" / f"{split}.corrupted.jsonl"
+        source = seqio.read_sequence(path)
+        # finite, so the reader accepts it, but the fitted variances or the
+        # store's key norms overflow
+        seqio.write_sequence(path, source.with_data(source.data * 1e306))
+        out = tmp_path / "out" / f"{variant}.jsonl"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("refine", "--config", config, "--variant", variant,
+                       "--input", tmp_path / "corpus" / "test.corrupted.jsonl", "--out", out)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     def test_refined_outputs_parse_back(self, trained):
         tmp_path, config = trained
         source = tmp_path / "corpus" / "test.corrupted.jsonl"
@@ -676,12 +700,23 @@ def test_cli_and_eval_never_import_scipy(tmp_path):
     seqio.write_sequence(seq_path, SkeletonSequence(np.zeros((4, POSE_DIM)), Encoding.ABSOLUTE))
     script = textwrap.dedent(f"""
         import sys
+        sys.modules["scipy"] = None  # any scipy import now raises
+        import numpy as np
         import skelrefine.cli
-        assert "scipy" not in sys.modules
+        from skelrefine import fusion
         code = skelrefine.cli.main(["eval", "--pred", {str(seq_path)!r},
                                     "--truth", {str(seq_path)!r}])
         assert code == 0, code
-        assert "scipy" not in sys.modules
+        rng = np.random.default_rng(0)
+        gate = fusion.GateModel(np.ones({POSE_DIM}), 0.05)
+        assert fusion.estimate_gate(rng.normal(size=(10, {POSE_DIM})), 0.05).theta == 0.05
+        store = fusion.NeighborStore(rng.normal(size=(20, {POSE_DIM})),
+                                     rng.normal(size=(20, {POSE_DIM})), k=5)
+        out = fusion.sknn_step(store, gate, np.zeros({POSE_DIM}), np.zeros({POSE_DIM}),
+                               np.zeros({POSE_DIM}))
+        assert out.shape == ({POSE_DIM},) and np.all(np.isfinite(out))
+        assert sys.modules["scipy"] is None
+        assert not [name for name in sys.modules if name.startswith("scipy.")]
     """)
     src = Path(skelrefine.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -90,6 +90,25 @@ class TestGate:
         gate = GateModel(np.full(POSE_DIM, 1e-6), theta=0.0)
         assert bool(gate.passes(np.full(POSE_DIM, 1e6)).all())
 
+    @pytest.mark.parametrize("theta", [1e-300, 1e-10, 0.05, 0.5, 0.9, 1 - 2**-53])
+    def test_threshold_is_the_tail_probability_inverse(self, theta):
+        sigma2 = np.linspace(1e-8, 4.0, POSE_DIM)
+        gate = GateModel(sigma2, theta)
+        for threshold, s2 in zip(gate._thresholds, sigma2):
+            assert math.erfc(threshold / math.sqrt(2.0 * s2)) == pytest.approx(theta, rel=1e-11)
+
+    @pytest.mark.parametrize("theta", [0.0, 5e-324])
+    def test_vanishing_half_theta_gives_infinite_thresholds(self, theta):
+        gate = GateModel(np.full(POSE_DIM, 1e-4), theta)
+        assert np.all(gate._thresholds == math.inf)
+
+    def test_overflowing_variance_is_numerical_error(self):
+        residuals = np.full((4, POSE_DIM), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="gate"):
+                estimate_gate(residuals)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             GateModel(np.full(POSE_DIM, 1e-4), theta=1.0)
@@ -314,6 +333,14 @@ class TestNearestIndices:
             with pytest.raises(ValueError):
                 NeighborStore(finite, bad)
 
+    def test_store_of_keys_whose_norms_overflow_builds_silently(self):
+        keys = np.full((5, POSE_DIM), 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = NeighborStore(keys, np.zeros_like(keys), k=3)
+            # an infinite norm bound sends the query down the exact path
+            assert list(nearest_indices(store, keys[0])) == [0, 1, 2]
+
     def test_non_finite_query_is_numerical_error(self):
         rng = np.random.default_rng(16)
         store = NeighborStore(rng.normal(size=(8, POSE_DIM)), rng.normal(size=(8, POSE_DIM)),
@@ -509,6 +536,17 @@ class TestNoiseCovariances:
         r, q = estimate_noise_covariances(pos, vel)
         assert np.all(np.abs(r - 4e-4) < 0.1 * 4e-4)
         assert np.all(np.abs(q - 2.5e-5) < 0.1 * 2.5e-5)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflowing_variance_is_numerical_error(self, scale):
+        residuals = np.zeros((4, POSE_DIM))
+        residuals[::2, 3] = scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="position residuals"):
+                estimate_noise_covariances(residuals, np.zeros((4, POSE_DIM)))
+            with pytest.raises(NumericalError, match="velocity residuals"):
+                estimate_noise_covariances(np.zeros((4, POSE_DIM)), residuals)
 
     def test_diagonal_shapes(self):
         rng = np.random.default_rng(11)
