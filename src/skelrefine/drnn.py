@@ -13,10 +13,16 @@ the hidden state is carried across the entire sequence; windows only bound
 the training horizon. Every window and every stream starts from a zero
 recurrent state.
 
-Training runs window batches step by step over time-major activation slabs,
-which backpropagation reads back. Inference runs each layer as one GEMM over
-the whole stream; only the recurrent term, which needs the previous frame's
-activation, is a loop over frames.
+Training windows are read from frames: window i's step t is frame
+i * stride + t. Every layer below the recurrent one, and the recurrent
+layer's input term, depend only on the frame, so training computes them once
+per frame, and backpropagation sums the recurrent layer's deltas per frame
+before it takes their gradients. Only the recurrent term, the layers above
+it and the output layer run per window and step, over time-major slabs.
+Every weight gradient is reduced over fixed 256-row chunks in order, so
+trained weights do not depend on the BLAS thread count. Inference runs each
+layer as one GEMM over the whole stream; only the recurrent term, which
+needs the previous frame's activation, is a loop over frames.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ CHECKPOINT_VERSION = 1
 
 POSITION_WINDOW = 7
 VELOCITY_WINDOW = 20
+
+# rows per BLAS call in a weight-gradient reduction; see _tdot
+GRADIENT_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -177,44 +186,6 @@ def unpack_params(config: DrnnConfig, vector: np.ndarray) -> DrnnParams:
     return _params_from_arrays(config, [p.reshape(s).copy() for p, s in zip(pieces, shapes)])
 
 
-def _forward_batch(params: DrnnParams, inputs: np.ndarray):
-    """Batched forward pass over (batch, time, input_dim) windows.
-
-    Every window starts from a zero recurrent state. Returns (outputs,
-    acts): acts holds one time-major (time, batch, size) activation slab per
-    hidden layer. Each step's layer GEMM writes straight into the step's row,
-    the bias, the recurrent term and the ReLU are applied there in place, and
-    the recurrent layer's state entering step t is row t - 1 of its slab
-    (zeros at t = 0).
-    """
-    cfg = params.config
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != cfg.input_dim:
-        raise DimensionError(
-            f"expected inputs of shape (batch, time, {cfg.input_dim}), got {x.shape}"
-        )
-    n_batch, n_time, _ = x.shape
-    if n_time < 1:
-        raise DimensionError("window must contain at least one frame")
-    rec = cfg.recurrent_layer_index - 1
-    h = np.zeros((n_batch, cfg.recurrent_size))
-    acts = [np.empty((n_time, n_batch, size)) for size in cfg.hidden_sizes]
-    outputs = np.empty((n_batch, n_time, cfg.output_dim))
-    for t in range(n_time):
-        a = x[:, t, :]
-        for layer, weight in enumerate(params.inter):
-            pre = np.matmul(a, weight, out=acts[layer][t])
-            pre += params.biases[layer]
-            if layer == rec:
-                pre += h @ params.recurrent
-            a = np.maximum(pre, 0.0, out=pre)
-            if layer == rec:
-                h = a
-        y = np.matmul(a, params.out_weight, out=outputs[:, t, :])
-        y += params.out_bias
-    return outputs, acts
-
-
 def run_stream(params: DrnnParams, stream) -> np.ndarray:
     """Apply the network across a whole (frames, dim) stream, state carried.
 
@@ -252,16 +223,24 @@ def run_stream(params: DrnnParams, stream) -> np.ndarray:
     return outputs
 
 
-@dataclass(frozen=True)
 class TrainingBatch:
-    """Equal-count input and target windows of one common length."""
+    """Equal-count input and target windows of one common length, over frames.
 
-    inputs: np.ndarray  # (n_windows, window_length, dim)
-    targets: np.ndarray
+    Each side keeps its frames as one (frames, dim) array: input_frames and
+    target_frames. Window i's step t is frame i * stride + t, so the rows of
+    every window at step t are a strided slice of the frames.
+    TrainingBatch(inputs, targets) takes (n_windows, window_length, dim)
+    arrays and lays window i out at frames i * window_length onward (stride
+    window_length); batch_from_streams shares one copy of each stream among
+    its overlapping windows (stride 1). inputs and targets are read-only
+    (n_windows, window_length, dim) views of the frames. Raises
+    DimensionError for arrays that are not 3-D, disagree on window count or
+    length, or hold no window or an empty one.
+    """
 
-    def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
+    def __init__(self, inputs, targets):
+        inputs = np.asarray(inputs, dtype=np.float64)
+        targets = np.asarray(targets, dtype=np.float64)
         if inputs.ndim != 3 or targets.ndim != 3:
             raise DimensionError("batch arrays must be (windows, time, features)")
         if inputs.shape[:2] != targets.shape[:2]:
@@ -269,22 +248,56 @@ class TrainingBatch:
                 f"inputs {inputs.shape} and targets {targets.shape} disagree on "
                 "window count or window length"
             )
-        if inputs.shape[0] == 0:
-            raise ValueError("batch must contain at least one window")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
+        n_windows, length = inputs.shape[:2]
+        if n_windows == 0 or length == 0:
+            raise DimensionError("batch must contain at least one window of at least one frame")
+        self._lay_out(inputs.reshape(n_windows * length, inputs.shape[2]),
+                      targets.reshape(n_windows * length, targets.shape[2]), length, length)
 
-    @property
-    def n_windows(self) -> int:
-        return self.inputs.shape[0]
+    @classmethod
+    def _from_frames(cls, input_frames, target_frames, window_length: int,
+                     stride: int) -> "TrainingBatch":
+        batch = cls.__new__(cls)
+        batch._lay_out(input_frames, target_frames, window_length, stride)
+        return batch
 
-    @property
-    def window_length(self) -> int:
-        return self.inputs.shape[1]
+    def _lay_out(self, input_frames, target_frames, window_length, stride):
+        self.window_length = window_length
+        self.stride = stride
+        self.n_windows = (input_frames.shape[0] - window_length) // stride + 1
+        self.input_frames, self.inputs = self._frames_and_windows(input_frames)
+        self.target_frames, self.targets = self._frames_and_windows(target_frames)
+
+    def _frames_and_windows(self, frames):
+        frames = frames.view()
+        frames.flags.writeable = False
+        row, item = frames.strides
+        windows = np.lib.stride_tricks.as_strided(
+            frames, (self.n_windows, self.window_length, frames.shape[1]),
+            (self.stride * row, row, item), writeable=False)
+        return frames, windows
+
+    def step_rows(self, frames: np.ndarray, t: int) -> np.ndarray:
+        """The rows of frames that every window reads at step t, in window
+        order: a strided slice, so writing it writes frames."""
+        span = (self.n_windows - 1) * self.stride + 1
+        return frames[t : t + span : self.stride]
 
 
 def window_count(n_frames: int, window_length: int) -> int:
     return n_frames - window_length + 1
+
+
+def _stream_frames(stream, window_length: int) -> np.ndarray:
+    """A copy of a (frames, dim) stream long enough for one window."""
+    arr = np.array(stream, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimensionError(f"stream must be 2-D, got {arr.shape}")
+    if window_count(arr.shape[0], window_length) < 1:
+        raise InsufficientFramesError(
+            f"stream of {arr.shape[0]} frames is shorter than window {window_length}"
+        )
+    return arr
 
 
 def make_windows(stream, window_length: int) -> np.ndarray:
@@ -294,88 +307,177 @@ def make_windows(stream, window_length: int) -> np.ndarray:
     the stream's memory, not window_length times it, and later writes to the
     caller's stream do not reach them.
     """
-    arr = np.array(stream, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"stream must be 2-D, got {arr.shape}")
-    if window_count(arr.shape[0], window_length) < 1:
-        raise InsufficientFramesError(
-            f"stream of {arr.shape[0]} frames is shorter than window {window_length}"
-        )
+    arr = _stream_frames(stream, window_length)
     return np.lib.stride_tricks.sliding_window_view(arr, (window_length, arr.shape[1]))[:, 0]
 
 
 def batch_from_streams(input_stream, target_stream, window_length: int) -> TrainingBatch:
-    return TrainingBatch(
-        make_windows(input_stream, window_length),
-        make_windows(target_stream, window_length),
-    )
+    """Every window position of two equal-length streams, as a stride-1
+    batch over copies of the streams."""
+    inputs = _stream_frames(input_stream, window_length)
+    targets = _stream_frames(target_stream, window_length)
+    if inputs.shape[0] != targets.shape[0]:
+        raise DimensionError(
+            f"input stream of {inputs.shape[0]} frames and target stream of "
+            f"{targets.shape[0]} frames differ in length"
+        )
+    return TrainingBatch._from_frames(inputs, targets, window_length, 1)
 
 
 def _check_batch(config: DrnnConfig, batch: TrainingBatch) -> None:
-    if batch.inputs.shape[2] != config.input_dim:
+    if batch.input_frames.shape[1] != config.input_dim:
         raise DimensionError(
-            f"batch input dim {batch.inputs.shape[2]} != config input_dim {config.input_dim}"
+            f"batch input dim {batch.input_frames.shape[1]} != config input_dim "
+            f"{config.input_dim}"
         )
-    if batch.targets.shape[2] != config.output_dim:
+    if batch.target_frames.shape[1] != config.output_dim:
         raise DimensionError(
-            f"batch target dim {batch.targets.shape[2]} != config output_dim {config.output_dim}"
+            f"batch target dim {batch.target_frames.shape[1]} != config output_dim "
+            f"{config.output_dim}"
         )
+
+
+def _tdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b over equal row counts, reduced in an order fixed by the rows.
+
+    The rows are cut into chunks of GRADIENT_CHUNK_ROWS. The chunk products
+    are one stacked matmul, summed in chunk order by np.add.reduce, and the
+    remainder chunk's product is added last. No BLAS call reduces over more
+    than one chunk, which keeps the sum independent of the BLAS thread count
+    (tests/test_drnn.py pins that for the BLAS it runs on).
+    """
+    rows = a.shape[0]
+    whole = rows - rows % GRADIENT_CHUNK_ROWS
+    chunks = whole // GRADIENT_CHUNK_ROWS
+    a_chunks = a[:whole].reshape(chunks, GRADIENT_CHUNK_ROWS, a.shape[1])
+    b_chunks = b[:whole].reshape(chunks, GRADIENT_CHUNK_ROWS, b.shape[1])
+    out = np.add.reduce(np.matmul(a_chunks.transpose(0, 2, 1), b_chunks), axis=0)
+    if whole < rows:
+        out += a[whole:].T @ b[whole:]
+    return out
+
+
+def _forward_batch(params: DrnnParams, batch: TrainingBatch):
+    """Forward pass over a batch's windows; every window starts from a zero
+    recurrent state.
+
+    Returns (outputs, acts). The layers below the recurrent one depend only
+    on the frame, so each is one GEMM over the batch's input frames, and
+    their acts entries are (frames, size). So is the recurrent layer's input
+    term, a_below @ W + b. The recurrence then walks the steps: step t's row
+    of the time-major (time, batch, size) slab is the previous row times the
+    recurrent weights (zeros at t = 0) plus the input term of the frames the
+    windows read at t, rectified in place. The layers above and the output
+    layer are one GEMM each over the whole slab, so their acts entries and
+    outputs are time-major slabs too.
+    """
+    cfg = params.config
+    rec = cfg.recurrent_layer_index - 1
+    n_time, n_batch = batch.window_length, batch.n_windows
+    acts = []
+    a = batch.input_frames
+    for layer in range(rec):
+        pre = a @ params.inter[layer]
+        pre += params.biases[layer]
+        a = np.maximum(pre, 0.0, out=pre)
+        acts.append(a)
+    drive = a @ params.inter[rec]
+    drive += params.biases[rec]
+    h = np.empty((n_time, n_batch, cfg.recurrent_size))
+    h[0] = batch.step_rows(drive, 0)
+    np.maximum(h[0], 0.0, out=h[0])
+    for t in range(1, n_time):
+        row = np.matmul(h[t - 1], params.recurrent, out=h[t])
+        row += batch.step_rows(drive, t)
+        np.maximum(row, 0.0, out=row)
+    acts.append(h)
+    a = h.reshape(n_time * n_batch, cfg.recurrent_size)
+    for layer in range(rec + 1, len(cfg.hidden_sizes)):
+        pre = a @ params.inter[layer]
+        pre += params.biases[layer]
+        a = np.maximum(pre, 0.0, out=pre)
+        acts.append(a.reshape(n_time, n_batch, -1))
+    outputs = a @ params.out_weight
+    outputs += params.out_bias
+    return outputs.reshape(n_time, n_batch, cfg.output_dim), acts
+
+
+def _output_errors(outputs: np.ndarray, batch: TrainingBatch) -> float:
+    """Turn the time-major outputs into output errors in place and return
+    their sum of squares, one np.add.reduce per step and the steps summed in
+    order. Raises NumericalError when the sum is not finite."""
+    loss = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, step in enumerate(outputs):
+            step -= batch.step_rows(batch.target_frames, t)
+            loss += float(np.add.reduce(step * step, axis=None))
+    if not math.isfinite(loss):
+        raise NumericalError("loss is not finite; activations overflowed")
+    return loss
 
 
 def loss_value(params: DrnnParams, batch: TrainingBatch) -> float:
-    """Sum of squared output errors over the whole batch."""
+    """Sum of squared output errors over the whole batch, from the forward
+    pass loss_and_gradient runs, so the two agree bit for bit. Raises
+    NumericalError when it is not finite."""
     _check_batch(params.config, batch)
-    diff, _ = _forward_batch(params, batch.inputs)
-    diff -= batch.targets
-    return float(np.vdot(diff, diff))
+    outputs, _ = _forward_batch(params, batch)
+    return _output_errors(outputs, batch)
 
 
 def loss_and_gradient(params: DrnnParams, batch: TrainingBatch) -> tuple[float, DrnnParams]:
     """Sum-of-squares loss and its gradient by backpropagation through time.
 
-    The backward pass reads the forward pass's time-major activation slabs
-    one step row at a time; the recurrent layer's previous state is the row
-    before. The output error and its doubling are formed in place in the
-    outputs array, and each layer's delta in place in the array its GEMM
-    returned. Layer 0's input gradient is never formed. The ReLU subgradient
-    at exactly zero is taken as zero. Raises NumericalError when activations
+    The output error and its doubling are formed in place in the outputs
+    slab, and the output layer's weight gradient is one reduction over it.
+    Backpropagation through time then walks the steps backward: the layers
+    above the recurrent one take their deltas per step, and the recurrent
+    layer's delta at step t is added to the frames the windows read at t, so
+    that after the loop it is summed per frame. The recurrent layer's input
+    weights and the layers below it then take their gradients as reductions
+    over frames. Every weight gradient is a _tdot reduction and every bias
+    gradient a numpy sum, so the result does not depend on the BLAS thread
+    count. Layer 0's input gradient is never formed. The ReLU subgradient at
+    exactly zero is taken as zero. Raises NumericalError when activations
     overflow to non-finite values.
     """
     cfg = params.config
     _check_batch(cfg, batch)
-    x, target = batch.inputs, batch.targets
-    diff, acts = _forward_batch(params, x)
-    diff -= target
-    loss = float(np.vdot(diff, diff))
-    if not np.isfinite(loss):
-        raise NumericalError("loss is not finite; activations overflowed")
+    outputs, acts = _forward_batch(params, batch)
+    loss = _output_errors(outputs, batch)
 
     grads = zeros_like_params(params)
-    n_batch, n_time, _ = x.shape
+    n_time, n_batch = batch.window_length, batch.n_windows
     rec = cfg.recurrent_layer_index - 1
-    d_out = diff
+    d_out = outputs
     d_out *= 2.0
-    h0 = np.zeros((n_batch, cfg.recurrent_size))
-    dh_carry = np.zeros((n_batch, cfg.recurrent_size))
+    flat_out = d_out.reshape(n_time * n_batch, cfg.output_dim)
+    grads.out_weight = _tdot(acts[-1].reshape(n_time * n_batch, -1), flat_out)
+    grads.out_bias = flat_out.sum(axis=0)
+    h = acts[rec]
+    d_drive = np.zeros((batch.input_frames.shape[0], cfg.recurrent_size))
     for t in range(n_time - 1, -1, -1):
-        dy = d_out[:, t, :]
-        grads.out_weight += acts[-1][t].T @ dy
-        grads.out_bias += dy.sum(axis=0)
-        da = dy @ params.out_weight.T
-        for layer in range(len(acts) - 1, -1, -1):
-            if layer == rec:
-                da += dh_carry
+        da = d_out[t] @ params.out_weight.T
+        for layer in range(len(acts) - 1, rec, -1):
             dpre = np.multiply(da, acts[layer][t] > 0.0, out=da)
-            below = acts[layer - 1][t] if layer > 0 else x[:, t, :]
-            grads.inter[layer] += below.T @ dpre
+            grads.inter[layer] += _tdot(acts[layer - 1][t], dpre)
             grads.biases[layer] += dpre.sum(axis=0)
-            if layer == rec:
-                h_prev = acts[rec][t - 1] if t > 0 else h0
-                grads.recurrent += h_prev.T @ dpre
-                dh_carry = dpre @ params.recurrent.T
-            if layer > 0:
-                # layer 0's input gradient would be discarded
-                da = dpre @ params.inter[layer].T
+            da = dpre @ params.inter[layer].T
+        if t < n_time - 1:
+            da += dh_carry
+        dpre = np.multiply(da, h[t] > 0.0, out=da)
+        rows = batch.step_rows(d_drive, t)
+        rows += dpre
+        if t > 0:
+            grads.recurrent += _tdot(h[t - 1], dpre)
+            dh_carry = dpre @ params.recurrent.T
+    dpre = d_drive
+    for layer in range(rec, -1, -1):
+        if layer < rec:
+            dpre = np.multiply(dpre @ params.inter[layer + 1].T, acts[layer] > 0.0)
+        below = acts[layer - 1] if layer > 0 else batch.input_frames
+        grads.inter[layer] = _tdot(below, dpre)
+        grads.biases[layer] = dpre.sum(axis=0)
     return loss, grads
 
 
@@ -401,9 +503,10 @@ def train(
     """Fit a network to the training windows by full-batch minimization.
 
     Deterministic for a fixed config seed and optimizer spec: the same call
-    produces bitwise-identical parameter trajectories. Training and
-    validation SSE are recorded at the starting point and after every
-    accepted optimizer step.
+    produces bitwise-identical parameter trajectories, at any BLAS thread
+    count. Training and validation SSE are recorded at the starting point
+    and after every accepted optimizer step. Raises NumericalError when a
+    validation SSE is not finite.
     """
     _check_batch(config, train_set)
     _check_batch(config, validation_set)
@@ -425,7 +528,10 @@ def train(
 
     def record(iteration, loss, vec):
         train_losses.append(loss)
-        validation_losses.append(loss_value(unpack_params(config, vec), validation_set))
+        try:
+            validation_losses.append(loss_value(unpack_params(config, vec), validation_set))
+        except NumericalError as exc:
+            raise NumericalError(f"validation set at iteration {iteration}: {exc}") from exc
 
     result = optim.minimize(objective, x0, spec, callback=record)
     return TrainResult(

@@ -2,8 +2,9 @@
 
 Limited-memory BFGS with a strong-Wolfe line search (Nocedal & Wright,
 Algorithms 7.4 and 3.5). It records every accepted iterate through a
-callback and is bit-reproducible for a fixed starting point. The iteration
-budget is the only setting; the rest is fixed:
+callback and is bit-reproducible for a fixed starting point; its vector
+dot products are numpy sums, so the BLAS thread count does not enter. The
+iteration budget is the only setting; the rest is fixed:
 
 * HISTORY_SIZE: curvature pairs kept for the two-loop recursion.
 * GRAD_TOLERANCE: stop when the max-abs gradient entry falls below this.
@@ -98,6 +99,14 @@ class _Point(NamedTuple):
     f: float
     g: np.ndarray
     slope: float  # directional derivative g . d
+
+
+def _dot(v: np.ndarray, w: np.ndarray) -> float:
+    """v . w as a numpy sum, whose order does not depend on the BLAS thread
+    count, as a BLAS dot's does for long vectors. Like the BLAS dot, it
+    overflows to inf without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.add.reduce(v * w))
 
 
 def _finite(f: float) -> float:
@@ -211,7 +220,7 @@ def minimize(
         nonlocal evals
         fx, gx = objective(x + alpha * direction)
         evals += 1
-        return _Point(alpha, fx, gx, float(gx @ direction))
+        return _Point(alpha, fx, gx, _dot(gx, direction))
 
     for iteration in range(1, spec.max_iterations + 1):
         g_inf = float(np.max(np.abs(g)))
@@ -222,13 +231,13 @@ def minimize(
             break
 
         direction = _two_loop(g, history)
-        if float(direction @ g) >= 0.0:
+        if _dot(direction, g) >= 0.0:
             # stale curvature pairs; fall back to steepest descent
             history.clear()
             direction = -g
         while True:
             alpha_init = 1.0 if history else min(1.0, 1.0 / max(g_inf, 1e-12))
-            accepted = _strong_wolfe(evaluate, f, float(g @ direction), alpha_init)
+            accepted = _strong_wolfe(evaluate, f, _dot(g, direction), alpha_init)
             if accepted is not None or not history:
                 break
             # retry once along the raw gradient before giving up
@@ -244,8 +253,8 @@ def minimize(
         x_new = x + accepted.alpha * direction
         s = x_new - x
         y = accepted.g - g
-        sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        sy = _dot(s, y)
+        if sy > 1e-10 * math.sqrt(_dot(s, s)) * math.sqrt(_dot(y, y)):
             history.append((s, y, 1.0 / sy))
 
         f_prev, x, f, g = f, x_new, accepted.f, accepted.g
@@ -272,13 +281,13 @@ def _two_loop(g, history) -> np.ndarray:
         return q
     alphas = []
     for s, y, rho in reversed(history):
-        a = rho * float(s @ q)
+        a = rho * _dot(s, q)
         q -= a * y
         alphas.append(a)
     s, y, _ = history[-1]
-    gamma = float(s @ y) / float(y @ y)
+    gamma = _dot(s, y) / _dot(y, y)
     q *= gamma
     for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * _dot(y, q)
         q += (a - b) * s
     return q

@@ -376,6 +376,26 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflowing_validation_split_is_one_line_numerical_error(self, workspace, capsys):
+        tmp_path, config = workspace
+        assert run("synth", "--config", config) == 0
+        path = tmp_path / "corpus" / "validation.corrupted.jsonl"
+        source = seqio.read_sequence(path)
+        # finite, so the reader accepts it, but the validation SSE overflows
+        seqio.write_sequence(path, source.with_data(source.data * 1e306))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("train", "--config", config, "--which", "pdrnn")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "validation" in captured.err
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "models" / "pdrnn.json").exists()
+        assert not (tmp_path / "models" / "pdrnn_loss.csv").exists()
+
     def test_summary_counts_loss_and_gradient_evaluations(self, workspace, capsys,
                                                           monkeypatch):
         _, config = workspace

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from dataclasses import asdict
 from pathlib import Path
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skelrefine
 from skelrefine import optim
 from skelrefine.drnn import (
     _forward_batch,
@@ -308,8 +313,8 @@ class TestGradient:
         params = init_params(cfg)
         rng = np.random.default_rng(4)
         inputs = rng.normal(size=(3, 3, 3))
-        outputs, _ = _forward_batch(params, inputs)
-        loss, grads = loss_and_gradient(params, TrainingBatch(inputs, outputs))
+        outputs, _ = _forward_batch(params, TrainingBatch(inputs, np.zeros((3, 3, 2))))
+        loss, grads = loss_and_gradient(params, TrainingBatch(inputs, outputs.swapaxes(0, 1)))
         assert loss == 0.0
         assert np.array_equal(pack_params(grads), np.zeros_like(pack_params(params)))
 
@@ -354,10 +359,11 @@ class TestGradient:
 
 
 def reference_loss_and_gradient(params, batch):
-    """The copy-based BPTT that the slab rewrite replaced, kept verbatim as a
-    bit-identity reference: the forward pass copies each step's activations
-    and entering hidden state into strided (batch, time, size) caches, and
-    the backward pass allocates every intermediate afresh."""
+    """The copy-based, window-by-window BPTT that the slab and frame-wise
+    rewrites replaced, kept verbatim as the reference: the forward pass
+    copies each step's activations and entering hidden state into strided
+    (batch, time, size) caches, and the backward pass allocates every
+    intermediate afresh."""
     cfg = params.config
     x, target = batch.inputs, batch.targets
     n_batch, n_time, _ = x.shape
@@ -439,16 +445,25 @@ BIT_IDENTITY_CASES = {
 }
 
 
+def assert_same_up_to_rounding(got, want, tolerance=1e-12):
+    """Two (loss, gradient) results agree within a relative tolerance of
+    the largest magnitude: the frame-wise pass sums the same terms as the
+    window-wise reference in another order, so only rounding separates
+    them."""
+    (loss, grads), (want_loss, want_grads) = got, want
+    assert abs(loss - want_loss) <= tolerance * abs(want_loss)
+    got, want = pack_params(grads), pack_params(want_grads)
+    assert np.max(np.abs(got - want)) <= tolerance * np.max(np.abs(want))
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("case", BIT_IDENTITY_CASES)
     def test_matches_copy_based_reference(self, case):
         hidden_sizes, rec, window, n_windows, views = BIT_IDENTITY_CASES[case]
         rng = np.random.default_rng(sum(map(ord, case)))
         params, batch = random_instance(rng, hidden_sizes, rec, window, n_windows, views=views)
-        loss, grads = loss_and_gradient(params, batch)
-        want_loss, want_grads = reference_loss_and_gradient(params, batch)
-        assert loss == want_loss
-        assert np.array_equal(pack_params(grads), pack_params(want_grads))
+        assert_same_up_to_rounding(loss_and_gradient(params, batch),
+                                   reference_loss_and_gradient(params, batch))
 
     def test_matches_reference_on_random_configs(self):
         rng = np.random.default_rng(2718)
@@ -461,22 +476,34 @@ class TestBitIdentity:
                 input_dim=int(rng.integers(1, 10)), output_dim=int(rng.integers(1, 10)),
                 views=bool(rng.integers(0, 2)),
             )
-            loss, grads = loss_and_gradient(params, batch)
-            want_loss, want_grads = reference_loss_and_gradient(params, batch)
-            assert loss == want_loss
-            assert np.array_equal(pack_params(grads), pack_params(want_grads))
+            assert_same_up_to_rounding(loss_and_gradient(params, batch),
+                                       reference_loss_and_gradient(params, batch))
 
     @pytest.mark.parametrize("case", BIT_IDENTITY_CASES)
     def test_cached_and_uncached_forward_agree_bitwise(self, case):
-        """loss_value's forward pass and loss_and_gradient's both run on the
-        time-major slabs, and their losses agree bit for bit."""
+        """loss_value and loss_and_gradient share one forward pass, and their
+        losses agree bit for bit. Layers below the recurrent one are per
+        frame; the recurrent layer, the layers above and the outputs are
+        time-major slabs."""
         hidden_sizes, rec, window, n_windows, views = BIT_IDENTITY_CASES[case]
         rng = np.random.default_rng(sum(map(ord, case)) + 1)
         params, batch = random_instance(rng, hidden_sizes, rec, window, n_windows, views=views)
-        outputs, acts = _forward_batch(params, batch.inputs)
-        assert outputs.shape == batch.targets.shape
-        assert [a.shape for a in acts] == [(window, n_windows, s) for s in hidden_sizes]
+        outputs, acts = _forward_batch(params, batch)
+        n_frames = n_windows + window - 1 if views else n_windows * window
+        assert outputs.shape == (window, n_windows, batch.targets.shape[2])
+        assert [a.shape for a in acts] == [
+            (n_frames, s) if layer < rec - 1 else (window, n_windows, s)
+            for layer, s in enumerate(hidden_sizes)
+        ]
         assert loss_value(params, batch) == loss_and_gradient(params, batch)[0]
+
+    def test_stride_one_batch_matches_the_same_windows_as_arrays(self):
+        rng = np.random.default_rng(41)
+        params, batch = random_instance(rng, (6, 7, 5), 2, 5, 30, views=True)
+        windows = TrainingBatch(np.array(batch.inputs), np.array(batch.targets))
+        assert (batch.stride, windows.stride) == (1, 5)
+        assert_same_up_to_rounding(loss_and_gradient(params, batch),
+                                   loss_and_gradient(params, windows))
 
     @pytest.mark.parametrize("views", [False, True], ids=["arrays", "window_views"])
     def test_batch_left_unchanged(self, views):
@@ -487,6 +514,47 @@ class TestBitIdentity:
         loss_value(params, batch)
         assert np.array_equal(batch.inputs, inputs)
         assert np.array_equal(batch.targets, targets)
+
+
+# Loss, gradient, trained weights and loss curves of a network of pdrnn's
+# shape on 3000 random frames, printed as two digests.
+THREAD_PROBE = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from skelrefine import drnn, optim
+
+    def digest(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.asarray(a, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    rng = np.random.default_rng(0)
+    streams = rng.normal(size=(2, 3000, 48))
+    cfg = drnn.DrnnConfig(hidden_sizes=(64, 64, 64), recurrent_layer_index=2,
+                          window_length=7, seed=1)
+    batch = drnn.batch_from_streams(streams[0], streams[1], 7)
+    val = drnn.batch_from_streams(streams[0][:100], streams[1][:100], 7)
+    loss, grads = drnn.loss_and_gradient(drnn.init_params(cfg), batch)
+    result = drnn.train(cfg, batch, val, optim.OptimizerSpec(max_iterations=3))
+    print(digest(loss, drnn.pack_params(grads)))
+    print(digest(drnn.pack_params(result.params), result.train_losses,
+                 result.validation_losses), result.iterations)
+""")
+
+
+class TestThreadIndependence:
+    def test_loss_gradient_and_training_do_not_depend_on_blas_threads(self):
+        src = Path(skelrefine.__file__).resolve().parents[1]
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            printed.append(result.stdout.splitlines())
+        assert printed[0][1].endswith(" 3")
+        assert printed[0] == printed[1]
 
 
 class TestWindows:
@@ -525,7 +593,7 @@ class TestWindows:
     def test_mismatched_batch_rejected(self):
         with pytest.raises(DimensionError):
             TrainingBatch(np.ones((2, 3, 4)), np.ones((2, 4, 4)))
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             TrainingBatch(np.ones((0, 3, 4)), np.ones((0, 3, 4)))
 
 
