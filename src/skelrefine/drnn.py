@@ -13,16 +13,16 @@ the hidden state is carried across the entire sequence; windows only bound
 the training horizon. Every window and every stream starts from a zero
 recurrent state.
 
-Training windows are read from frames: window i's step t is frame
-i * stride + t. Every layer below the recurrent one, and the recurrent
-layer's input term, depend only on the frame, so training computes them once
-per frame, and backpropagation sums the recurrent layer's deltas per frame
-before it takes their gradients. Only the recurrent term, the layers above
-it and the output layer run per window and step, over time-major slabs.
-Every weight gradient is reduced over fixed 256-row chunks in order, so
-trained weights do not depend on the BLAS thread count. Inference runs each
-layer as one GEMM over the whole stream; only the recurrent term, which
-needs the previous frame's activation, is a loop over frames.
+One forward pass serves training and inference. It reads windows from
+frames: window i's step t is frame i * stride + t, and a stream is the one
+window that spans all of its frames. Every layer below the recurrent one,
+and the recurrent layer's input term, depend only on the frame, so they are
+one GEMM each over frames. Only the recurrent term loops over steps, all
+windows at once; the layers above it and the output layer are one GEMM each
+over the time-major slab. Backpropagation sums the recurrent layer's deltas
+per frame before it takes their gradients. Every weight gradient is reduced
+over fixed 256-row chunks in order, so trained weights do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -189,13 +189,11 @@ def unpack_params(config: DrnnConfig, vector: np.ndarray) -> DrnnParams:
 def run_stream(params: DrnnParams, stream) -> np.ndarray:
     """Apply the network across a whole (frames, dim) stream, state carried.
 
-    Each layer is one (frames, size) GEMM over the whole stream, with its
-    bias and ReLU applied in place. Only the recurrent term needs the
-    previous frame: after its input GEMM the recurrent layer walks the
-    frames, adding the previous frame's activation times the recurrent
-    weights to each row before that row's ReLU. The state starts at zero and
-    stays 1-D. The caller's stream is not written. Raises DimensionError for
-    a stream that is not (frames, input_dim) with at least one frame.
+    The stream is the one window of _forward that spans all of its frames,
+    so the state starts at zero and runs through every frame. The caller's
+    stream is not written. Raises DimensionError for a stream that is not
+    (frames, input_dim) with at least one frame, and NumericalError when an
+    output is not finite.
     """
     cfg = params.config
     s = np.asarray(stream, dtype=np.float64)
@@ -205,37 +203,35 @@ def run_stream(params: DrnnParams, stream) -> np.ndarray:
         )
     if s.shape[0] < 1:
         raise DimensionError("stream must contain at least one frame")
-    a = s
-    for layer, weight in enumerate(params.inter):
-        pre = a @ weight
-        pre += params.biases[layer]
-        if layer == cfg.recurrent_layer_index - 1:
-            # row 0 enters with a zero state; each later row adds h @ R first
-            h = np.maximum(pre[0], 0.0, out=pre[0])
-            for row in pre[1:]:
-                row += h @ params.recurrent
-                h = np.maximum(row, 0.0, out=row)
-        else:
-            np.maximum(pre, 0.0, out=pre)
-        a = pre
-    outputs = a @ params.out_weight
-    outputs += params.out_bias
+    outputs = _forward(params, s, len(s), 1)[0].reshape(len(s), cfg.output_dim)
+    if not np.isfinite(outputs).all():
+        raise NumericalError("network outputs are not finite; activations overflowed")
     return outputs
+
+
+def _windows(frames: np.ndarray, window_length: int, stride: int) -> np.ndarray:
+    """The time-major (window_length, n_windows, dim) view of a (frames, dim)
+    array in which window i's step t is frame i * stride + t. Row t is the
+    strided slice of frames that every window reads at step t, so writing
+    it writes frames; the view is read-only when frames is."""
+    n_windows = (frames.shape[0] - window_length) // stride + 1
+    row, item = frames.strides
+    return np.lib.stride_tricks.as_strided(
+        frames, (window_length, n_windows, frames.shape[1]), (row, stride * row, item))
 
 
 class TrainingBatch:
     """Equal-count input and target windows of one common length, over frames.
 
-    Each side keeps its frames as one (frames, dim) array: input_frames and
-    target_frames. Window i's step t is frame i * stride + t, so the rows of
-    every window at step t are a strided slice of the frames.
-    TrainingBatch(inputs, targets) takes (n_windows, window_length, dim)
-    arrays and lays window i out at frames i * window_length onward (stride
-    window_length); batch_from_streams shares one copy of each stream among
-    its overlapping windows (stride 1). inputs and targets are read-only
-    (n_windows, window_length, dim) views of the frames. Raises
-    DimensionError for arrays that are not 3-D, disagree on window count or
-    length, or hold no window or an empty one.
+    Each side keeps its frames as one read-only (frames, dim) array:
+    input_frames and target_frames. Window i's step t is frame
+    i * stride + t (see _windows). TrainingBatch(inputs, targets) takes
+    (n_windows, window_length, dim) arrays and lays window i out at frames
+    i * window_length onward (stride window_length); batch_from_streams
+    shares one copy of each stream among its overlapping windows (stride 1).
+    inputs and targets are read-only (n_windows, window_length, dim) views
+    of the frames. Raises DimensionError for arrays that are not 3-D,
+    disagree on window count or length, or hold no window or an empty one.
     """
 
     def __init__(self, inputs, targets):
@@ -264,28 +260,11 @@ class TrainingBatch:
     def _lay_out(self, input_frames, target_frames, window_length, stride):
         self.window_length = window_length
         self.stride = stride
-        self.n_windows = (input_frames.shape[0] - window_length) // stride + 1
-        self.input_frames, self.inputs = self._frames_and_windows(input_frames)
-        self.target_frames, self.targets = self._frames_and_windows(target_frames)
-
-    def _frames_and_windows(self, frames):
-        frames = frames.view()
-        frames.flags.writeable = False
-        row, item = frames.strides
-        windows = np.lib.stride_tricks.as_strided(
-            frames, (self.n_windows, self.window_length, frames.shape[1]),
-            (self.stride * row, row, item), writeable=False)
-        return frames, windows
-
-    def step_rows(self, frames: np.ndarray, t: int) -> np.ndarray:
-        """The rows of frames that every window reads at step t, in window
-        order: a strided slice, so writing it writes frames."""
-        span = (self.n_windows - 1) * self.stride + 1
-        return frames[t : t + span : self.stride]
-
-
-def window_count(n_frames: int, window_length: int) -> int:
-    return n_frames - window_length + 1
+        self.input_frames, self.target_frames = input_frames.view(), target_frames.view()
+        self.input_frames.flags.writeable = self.target_frames.flags.writeable = False
+        self.inputs = _windows(self.input_frames, window_length, stride).swapaxes(0, 1)
+        self.targets = _windows(self.target_frames, window_length, stride).swapaxes(0, 1)
+        self.n_windows = self.inputs.shape[0]
 
 
 def _stream_frames(stream, window_length: int) -> np.ndarray:
@@ -293,22 +272,11 @@ def _stream_frames(stream, window_length: int) -> np.ndarray:
     arr = np.array(stream, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"stream must be 2-D, got {arr.shape}")
-    if window_count(arr.shape[0], window_length) < 1:
+    if arr.shape[0] < window_length:
         raise InsufficientFramesError(
             f"stream of {arr.shape[0]} frames is shorter than window {window_length}"
         )
     return arr
-
-
-def make_windows(stream, window_length: int) -> np.ndarray:
-    """Dense sliding windows over a (frames, dim) stream.
-
-    The windows are a read-only view of one copy of the stream, so they cost
-    the stream's memory, not window_length times it, and later writes to the
-    caller's stream do not reach them.
-    """
-    arr = _stream_frames(stream, window_length)
-    return np.lib.stride_tricks.sliding_window_view(arr, (window_length, arr.shape[1]))[:, 0]
 
 
 def batch_from_streams(input_stream, target_stream, window_length: int) -> TrainingBatch:
@@ -357,49 +325,52 @@ def _tdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_batch(params: DrnnParams, batch: TrainingBatch):
-    """Forward pass over a batch's windows; every window starts from a zero
-    recurrent state.
+def _forward(params: DrnnParams, frames: np.ndarray, window_length: int, stride: int):
+    """The network's forward pass over every window of a (frames, input_dim)
+    array, window i's step t being frame i * stride + t; every window starts
+    from a zero recurrent state.
 
     Returns (outputs, acts). The layers below the recurrent one depend only
-    on the frame, so each is one GEMM over the batch's input frames, and
-    their acts entries are (frames, size). So is the recurrent layer's input
-    term, a_below @ W + b. The recurrence then walks the steps: step t's row
-    of the time-major (time, batch, size) slab is the previous row times the
+    on the frame, so each is one GEMM over the frames, and their acts
+    entries are (frames, size). So is the recurrent layer's input term,
+    a_below @ W + b. The recurrence then walks the steps: step t's row of
+    the time-major (time, windows, size) slab is the previous row times the
     recurrent weights (zeros at t = 0) plus the input term of the frames the
     windows read at t, rectified in place. The layers above and the output
     layer are one GEMM each over the whole slab, so their acts entries and
-    outputs are time-major slabs too.
+    outputs are time-major slabs too. Overflow gives non-finite values
+    without a numpy warning; callers check the values they use.
     """
     cfg = params.config
     rec = cfg.recurrent_layer_index - 1
-    n_time, n_batch = batch.window_length, batch.n_windows
     acts = []
-    a = batch.input_frames
-    for layer in range(rec):
-        pre = a @ params.inter[layer]
-        pre += params.biases[layer]
-        a = np.maximum(pre, 0.0, out=pre)
-        acts.append(a)
-    drive = a @ params.inter[rec]
-    drive += params.biases[rec]
-    h = np.empty((n_time, n_batch, cfg.recurrent_size))
-    h[0] = batch.step_rows(drive, 0)
-    np.maximum(h[0], 0.0, out=h[0])
-    for t in range(1, n_time):
-        row = np.matmul(h[t - 1], params.recurrent, out=h[t])
-        row += batch.step_rows(drive, t)
-        np.maximum(row, 0.0, out=row)
-    acts.append(h)
-    a = h.reshape(n_time * n_batch, cfg.recurrent_size)
-    for layer in range(rec + 1, len(cfg.hidden_sizes)):
-        pre = a @ params.inter[layer]
-        pre += params.biases[layer]
-        a = np.maximum(pre, 0.0, out=pre)
-        acts.append(a.reshape(n_time, n_batch, -1))
-    outputs = a @ params.out_weight
-    outputs += params.out_bias
-    return outputs.reshape(n_time, n_batch, cfg.output_dim), acts
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = frames
+        for layer in range(rec):
+            pre = a @ params.inter[layer]
+            pre += params.biases[layer]
+            a = np.maximum(pre, 0.0, out=pre)
+            acts.append(a)
+        drive = a @ params.inter[rec]
+        drive += params.biases[rec]
+        steps = _windows(drive, window_length, stride)
+        h = np.empty(steps.shape)
+        np.maximum(steps[0], 0.0, out=h[0])
+        for prev, cur, d in zip(h[:-1], h[1:], steps[1:]):
+            np.dot(prev, params.recurrent, out=cur)
+            cur += d
+            np.maximum(cur, 0.0, out=cur)
+        acts.append(h)
+        n_time, n_windows, _ = h.shape
+        a = h.reshape(n_time * n_windows, cfg.recurrent_size)
+        for layer in range(rec + 1, len(cfg.hidden_sizes)):
+            pre = a @ params.inter[layer]
+            pre += params.biases[layer]
+            a = np.maximum(pre, 0.0, out=pre)
+            acts.append(a.reshape(n_time, n_windows, -1))
+        outputs = a @ params.out_weight
+        outputs += params.out_bias
+    return outputs.reshape(n_time, n_windows, cfg.output_dim), acts
 
 
 def _output_errors(outputs: np.ndarray, batch: TrainingBatch) -> float:
@@ -407,9 +378,10 @@ def _output_errors(outputs: np.ndarray, batch: TrainingBatch) -> float:
     their sum of squares, one np.add.reduce per step and the steps summed in
     order. Raises NumericalError when the sum is not finite."""
     loss = 0.0
+    targets = _windows(batch.target_frames, batch.window_length, batch.stride)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, step in enumerate(outputs):
-            step -= batch.step_rows(batch.target_frames, t)
+        for step, target in zip(outputs, targets):
+            step -= target
             loss += float(np.add.reduce(step * step, axis=None))
     if not math.isfinite(loss):
         raise NumericalError("loss is not finite; activations overflowed")
@@ -421,7 +393,7 @@ def loss_value(params: DrnnParams, batch: TrainingBatch) -> float:
     pass loss_and_gradient runs, so the two agree bit for bit. Raises
     NumericalError when it is not finite."""
     _check_batch(params.config, batch)
-    outputs, _ = _forward_batch(params, batch)
+    outputs, _ = _forward(params, batch.input_frames, batch.window_length, batch.stride)
     return _output_errors(outputs, batch)
 
 
@@ -443,7 +415,7 @@ def loss_and_gradient(params: DrnnParams, batch: TrainingBatch) -> tuple[float, 
     """
     cfg = params.config
     _check_batch(cfg, batch)
-    outputs, acts = _forward_batch(params, batch)
+    outputs, acts = _forward(params, batch.input_frames, batch.window_length, batch.stride)
     loss = _output_errors(outputs, batch)
 
     grads = zeros_like_params(params)
@@ -456,6 +428,7 @@ def loss_and_gradient(params: DrnnParams, batch: TrainingBatch) -> tuple[float, 
     grads.out_bias = flat_out.sum(axis=0)
     h = acts[rec]
     d_drive = np.zeros((batch.input_frames.shape[0], cfg.recurrent_size))
+    d_steps = _windows(d_drive, n_time, batch.stride)
     for t in range(n_time - 1, -1, -1):
         da = d_out[t] @ params.out_weight.T
         for layer in range(len(acts) - 1, rec, -1):
@@ -466,8 +439,7 @@ def loss_and_gradient(params: DrnnParams, batch: TrainingBatch) -> tuple[float, 
         if t < n_time - 1:
             da += dh_carry
         dpre = np.multiply(da, h[t] > 0.0, out=da)
-        rows = batch.step_rows(d_drive, t)
-        rows += dpre
+        d_steps[t] += dpre
         if t > 0:
             grads.recurrent += _tdot(h[t - 1], dpre)
             dh_carry = dpre @ params.recurrent.T
@@ -551,15 +523,21 @@ def refine_positions(params: DrnnParams, seq: SkeletonSequence,
 
     The sequence is re-encoded parent-relative, streamed through the network
     with the hidden state carried across all frames, and resolved back to
-    absolute coordinates. Output length equals input length.
+    absolute coordinates. Output length equals input length. Raises
+    NumericalError when the network's outputs or the absolute poses summed
+    from them are not finite.
     """
     if seq.encoding is not Encoding.ABSOLUTE:
         raise EncodingError("refine_positions expects an absolute sequence")
     rel = sequence_to_relative(seq, tree)
-    refined = run_stream(params, rel.data)
-    return sequence_to_absolute(
-        SkeletonSequence(refined, Encoding.RELATIVE, seq.frame_rate_hz), tree
-    )
+    refined = SkeletonSequence(run_stream(params, rel.data), Encoding.RELATIVE,
+                               seq.frame_rate_hz)
+    try:
+        # finite offsets can only sum to a non-finite pose by overflowing
+        with np.errstate(over="raise"):
+            return sequence_to_absolute(refined, tree)
+    except FloatingPointError as exc:
+        raise NumericalError(f"refined absolute poses are not finite: {exc}") from exc
 
 
 def refine_velocities(params: DrnnParams, seq: SkeletonSequence) -> np.ndarray:

@@ -588,6 +588,39 @@ class TestRefineAndEval:
             assert [str(w.message) for w in caught] == []
             assert not out.exists()
 
+    @pytest.mark.parametrize("network, edit, variant", [
+        ("pdrnn", {"inter_1": 1e300, "inter_2": 1e300}, "pdrnn"),
+        ("pdrnn", {"out_bias": 1e308}, "pdrnn"),
+        ("vdrnn", {"bias_1": 1e300, "inter_2": 1e300}, "kf"),
+        ("vdrnn", {"bias_1": 1e300, "inter_2": 1e300}, "sknn"),
+    ], ids=["pdrnn-weights", "pdrnn-out_bias", "vdrnn-kf", "vdrnn-sknn"])
+    def test_overflowing_network_is_one_line_numerical_error(
+            self, trained, capsys, network, edit, variant):
+        tmp_path, config = trained
+        checkpoint = tmp_path / "models" / f"{network}.json"
+        payload = json.loads(checkpoint.read_text())
+        # weights scaled and biases filled: finite, so the loader accepts
+        # them, but the outputs, or the absolute poses summed from them,
+        # overflow. The toy pdrnn's outputs barely move, so the vdrnn they
+        # feed is driven through its first bias.
+        for name, value in edit.items():
+            data = payload["arrays"][name]["data"]
+            payload["arrays"][name]["data"] = (
+                [v * value for v in data] if name.startswith("inter") else [value] * len(data))
+        checkpoint.write_text(json.dumps(payload))
+        out = tmp_path / "out" / f"{variant}.jsonl"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("refine", "--config", config, "--variant", variant,
+                       "--input", tmp_path / "corpus" / "test.corrupted.jsonl", "--out", out)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("split, variant", [
         ("validation", "kf"), ("validation", "sknn"), ("train", "sknn"),
     ])

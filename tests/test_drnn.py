@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import skelrefine
 from skelrefine import optim
 from skelrefine.drnn import (
-    _forward_batch,
+    _forward,
     DrnnConfig,
     DrnnParams,
     TrainingBatch,
@@ -23,7 +23,6 @@ from skelrefine.drnn import (
     load_checkpoint,
     loss_and_gradient,
     loss_value,
-    make_windows,
     pack_params,
     refine_positions,
     refine_velocities,
@@ -31,7 +30,6 @@ from skelrefine.drnn import (
     save_checkpoint,
     train,
     unpack_params,
-    window_count,
     zeros_like_params,
 )
 from skelrefine.errors import (
@@ -313,7 +311,7 @@ class TestGradient:
         params = init_params(cfg)
         rng = np.random.default_rng(4)
         inputs = rng.normal(size=(3, 3, 3))
-        outputs, _ = _forward_batch(params, TrainingBatch(inputs, np.zeros((3, 3, 2))))
+        outputs, _ = _forward(params, inputs.reshape(9, 3), 3, 3)
         loss, grads = loss_and_gradient(params, TrainingBatch(inputs, outputs.swapaxes(0, 1)))
         assert loss == 0.0
         assert np.array_equal(pack_params(grads), np.zeros_like(pack_params(params)))
@@ -415,7 +413,8 @@ def reference_loss_and_gradient(params, batch):
 def random_instance(rng, hidden_sizes, recurrent_layer_index, window_length, n_windows,
                     input_dim=5, output_dim=4, views=False):
     """A network with randomized biases plus a batch; with views, the batch is
-    read-only make_windows views of two streams, as training builds it."""
+    batch_from_streams' stride-1 windows over two streams, as training builds
+    it."""
     cfg = DrnnConfig(input_dim=input_dim, output_dim=output_dim, hidden_sizes=hidden_sizes,
                      recurrent_layer_index=recurrent_layer_index,
                      window_length=window_length, seed=int(rng.integers(0, 10**6)))
@@ -488,7 +487,7 @@ class TestBitIdentity:
         hidden_sizes, rec, window, n_windows, views = BIT_IDENTITY_CASES[case]
         rng = np.random.default_rng(sum(map(ord, case)) + 1)
         params, batch = random_instance(rng, hidden_sizes, rec, window, n_windows, views=views)
-        outputs, acts = _forward_batch(params, batch)
+        outputs, acts = _forward(params, batch.input_frames, batch.window_length, batch.stride)
         n_frames = n_windows + window - 1 if views else n_windows * window
         assert outputs.shape == (window, n_windows, batch.targets.shape[2])
         assert [a.shape for a in acts] == [
@@ -496,6 +495,24 @@ class TestBitIdentity:
             for layer, s in enumerate(hidden_sizes)
         ]
         assert loss_value(params, batch) == loss_and_gradient(params, batch)[0]
+
+    @given(random_params(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_window_runs_as_its_own_stream(self, params, data):
+        """Window i's column of the training pass, at stride 1 and at stride
+        L, is run_stream over that window's frames. A GEMM over many rows may
+        round differently from a one-row GEMM, hence the tolerance."""
+        window = data.draw(st.integers(2, 6), label="window_length")
+        n_frames = data.draw(st.integers(window, 30), label="n_frames")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        frames = rng.normal(size=(n_frames, params.config.input_dim))
+        for stride in (1, window):
+            outputs, _ = _forward(params, frames, window, stride)
+            assert outputs.shape[1] == (n_frames - window) // stride + 1
+            for i in range(outputs.shape[1]):
+                want = run_stream(params, frames[i * stride : i * stride + window])
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(outputs[:, i] - want)) <= 1e-12 * scale
 
     def test_stride_one_batch_matches_the_same_windows_as_arrays(self):
         rng = np.random.default_rng(41)
@@ -559,21 +576,20 @@ class TestThreadIndependence:
 
 class TestWindows:
     def test_window_count_identity(self):
-        assert window_count(10, 7) == 4
         rng = np.random.default_rng(6)
         stream = rng.normal(size=(10, 4))
-        assert make_windows(stream, 7).shape == (4, 7, 4)
+        assert batch_from_streams(stream, stream, 7).inputs.shape == (4, 7, 4)
 
     def test_windows_are_dense_stride_one(self):
         stream = np.arange(12, dtype=float).reshape(6, 2)
-        windows = make_windows(stream, 3)
+        windows = batch_from_streams(stream, stream, 3).inputs
         assert windows.shape == (4, 3, 2)
         for i in range(4):
             assert np.array_equal(windows[i], stream[i : i + 3])
 
     def test_too_short_stream_rejected(self):
         with pytest.raises(InsufficientFramesError):
-            make_windows(np.zeros((3, 4)), 5)
+            batch_from_streams(np.zeros((3, 4)), np.zeros((3, 4)), 5)
 
     def test_batch_from_streams_pairs_windows(self):
         rng = np.random.default_rng(7)

@@ -209,11 +209,12 @@ class TestCorpus:
         assert all(f <= motion.motion_bandwidth_hz for f in pool)
 
     def test_window_count_identity_per_split(self):
-        from skelrefine.drnn import make_windows
+        from skelrefine.drnn import batch_from_streams
 
         corpus = build_corpus(MotionConfig(n_frames=100, seed=15),
                               CorruptionConfig(seed=9), (0.6, 0.2, 0.2))
-        windows = make_windows(corpus.train.clean.data, 7)
+        clean = corpus.train.clean.data
+        windows = batch_from_streams(clean, clean, 7).inputs
         assert windows.shape[0] == 60 - 7 + 1
 
     def test_write_read_round_trip_and_manifest_lists_files(self, tmp_path):
