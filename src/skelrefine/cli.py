@@ -17,9 +17,15 @@ from pathlib import Path
 
 
 from . import drnn, fusion, metrics, seqio, synth
-from .errors import ConfigurationError, DependencyError, NumericalError, SkelRefineError
+from .errors import (
+    ConfigurationError,
+    DataError,
+    DependencyError,
+    NumericalError,
+    SkelRefineError,
+)
 from .optim import OptimizerSpec, real_number, whole_count
-from .skeleton import DEFAULT_TREE
+from .skeleton import DEFAULT_TREE, POSE_DIM
 
 _DEFAULT_WINDOWS = {"pdrnn": drnn.POSITION_WINDOW, "vdrnn": drnn.VELOCITY_WINDOW,
                     "vdrnn_plus": drnn.VELOCITY_WINDOW}
@@ -145,7 +151,13 @@ def _load_required_checkpoint(models_dir: Path, name: str, needed_for: str) -> d
             f"{needed_for} requires the {name} checkpoint; "
             f"run 'skelrefine train --which {name}' first ({path} not found)"
         )
-    return drnn.load_checkpoint(path)
+    params = drnn.load_checkpoint(path)
+    # every pipeline stream is one pose or pose difference per frame
+    dims = (params.config.input_dim, params.config.output_dim)
+    if dims != (POSE_DIM, POSE_DIM):
+        raise DataError(f"{path}: the {name} network maps {dims[0]} values to {dims[1]}; "
+                        f"the pipeline's networks map {POSE_DIM} to {POSE_DIM}")
+    return params
 
 
 def cmd_synth(args) -> int:

@@ -27,19 +27,24 @@ each network, in training order, names the stream it reads and the stream
 it learns, and training_streams builds both with a StreamBuilder.
 
 Cost. The neighbor search is exact but does not sort the whole store per
-query: one BLAS mat-vec gives every key's squared distance through the
-expansion |k|^2 - 2 k.q + |q|^2, np.partition finds the k-th smallest, and
-the keys within twice a forward-error bound of it are sorted by that
-approximate distance. The exact formula is evaluated only for near ties,
-keys whose approximate distances lie within twice the bound of a
-neighbor's, and re-ranks them (nearest_indices derives the bound and the
-order). The result is the full stable sort's, bit for bit, for finite
-inputs. The gate's (k, 48) deviation is built in one buffer, the gate mean
-is one row reduction over a component-major gather, with a loop only over
-components the gate partly rejects, and the Kalman gain sequence, which
-does not depend on the data, is computed once per stream. With a 5000-key
-store at K=1000 (one BLAS thread, a 2-CPU VM), a search takes about 190
-microseconds per query, and a gated frame, search included, about 570.
+query. A stream's queries are known before its recursion starts (only the
+gate depends on the previous output), so _sknn_track searches them 64 at a
+time: one BLAS GEMM gives every key's squared distance to each query of the
+chunk through the expansion |k|^2 - 2 k.q + |q|^2, np.partition finds each
+row's k-th smallest, and the keys within twice a forward-error bound of it
+are sorted by that approximate distance. The exact formula is evaluated
+only for near ties, keys whose approximate distances lie within twice the
+bound of a neighbor's, and re-ranks them (nearest_indices derives the bound
+and the order; it holds for any summation order of k.q, so for a GEMM too).
+The result is the full stable sort's, bit for bit, for finite inputs. The
+gate's (k, 48) deviation is built in one buffer, the gate mean is one row
+reduction over a component-major gather, with a loop only over components
+the gate partly rejects, and the Kalman gain sequence, which does not
+depend on the data, is computed once per stream. With a 5000-key store at
+K=1000 (one BLAS thread, a 2-CPU VM), a search takes about 65 microseconds
+per query, against about 175 for one query at a time, whose mat-vec rereads
+the 1.9 MB key matrix for every query; a gated frame, search included,
+takes about 330.
 """
 
 from __future__ import annotations
@@ -184,16 +189,22 @@ _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 # Up to this largest |q_j|, q.q over 48 components cannot overflow.
 _QUERY_LIMIT = 1e153
+# Queries per GEMM in a batched search: the (64, n) distance block of a
+# 5000-key store is 2.5 MB.
+_SEARCH_CHUNK = 64
 
 
 def nearest_indices(store: NeighborStore, query) -> np.ndarray:
     """Indices of the k nearest keys by Euclidean distance.
 
-    Exact search; ties at equal distance go to the lower store index. k is
-    clamped to the store size. The result is, bit for bit, that of a stable
-    argsort of d[i] = np.sum((keys[i] - q) ** 2) over the whole store. A
-    non-finite query, or a k-th nearest d that overflows (every key beyond
-    it would tie at inf), raises NumericalError.
+    A (48,) query gives a (k,) array; an (m, 48) batch gives (m, k), whose
+    row i is the one-query result for row i. Exact search; ties at equal
+    distance go to the lower store index. k is clamped to the store size.
+    Each result is, bit for bit, that of a stable argsort of d[i] =
+    np.sum((keys[i] - q) ** 2) over the whole store. A non-finite query, or
+    a k-th nearest d that overflows (every key beyond it would tie at inf),
+    raises NumericalError; rows are checked in order, so a batch raises the
+    error of its first such row.
 
     When k < n, a prefilter picks the keys worth ranking exactly. For key k
     and query q, with m = 48 components, unit roundoff u = eps/2 and
@@ -215,6 +226,12 @@ def nearest_indices(store: NeighborStore, query) -> np.ndarray:
     S_max = max|k|^2 + |q|^2, is twice both bounds; the margin covers the
     second-order terms and the rounding of the threshold below.
 
+    A batch forms its k.q in chunks of _SEARCH_CHUNK rows, one GEMM Q K^T
+    per chunk. Each entry of it is still a dot product of 48 terms, summed
+    in whatever order the BLAS kernel picks, so the bound above covers it
+    unchanged; scaling the block by -2 is exact, so adding |k|^2 to it
+    rounds as fl(|k|^2) - 2 fl(k.q) does.
+
     Let D be the k-th smallest d and a_k the k-th smallest a. Each of the
     k nearest keys has d <= D, so a <= D + E - |q|^2 for each; and a_k
     >= D - E - |q|^2, or else k keys would have d < D. Every one of the k
@@ -232,27 +249,54 @@ def nearest_indices(store: NeighborStore, query) -> np.ndarray:
     tie-break; a tie in a puts both keys in one run, so the sort by a need
     not be stable. When k >= n, when a query component exceeds _QUERY_LIMIT
     in magnitude (so that |q|^2 could overflow), or when S_max overflows,
-    every key is ranked by d.
+    every key is ranked by d; such rows stay out of the GEMM.
     """
-    q = np.asarray(query, dtype=np.float64)
-    q_max = float(np.abs(q).max())
-    if not q_max < math.inf:  # NaN fails too
-        raise NumericalError("nearest-neighbor query is not finite")
+    queries = np.asarray(query, dtype=np.float64)
+    rows = np.atleast_2d(queries)
     keys = store.keys
     n = keys.shape[0]
     k = min(store.k, n)
-    bound = math.inf
-    if q_max <= _QUERY_LIMIT:
-        bound = _PREFILTER_SLACK * (_EPS * (store._max_key_norm2 + float(q @ q)) + _TINY)
-    if k >= n or bound == math.inf:
-        with np.errstate(over="ignore"):
-            d = np.sum((keys - q) ** 2, axis=1)
-        nearest = np.argsort(d, kind="stable")[:k]
-        if d[nearest[-1]] == math.inf:
-            raise NumericalError(
-                f"nearest-neighbor distances overflow at a query component of {q_max:.3g}")
-        return nearest
-    approx = store._key_norms2 - 2.0 * (keys @ q)
+    out = np.empty((rows.shape[0], k), dtype=np.intp)
+    for start in range(0, rows.shape[0], _SEARCH_CHUNK):
+        chunk = rows[start:start + _SEARCH_CHUNK]
+        q_max = np.abs(chunk).max(axis=1)
+        bounds = np.full(chunk.shape[0], math.inf)
+        if k < n:
+            for i in np.flatnonzero(q_max <= _QUERY_LIMIT):  # NaN fails too
+                q = chunk[i]
+                bounds[i] = _PREFILTER_SLACK * (
+                    _EPS * (store._max_key_norm2 + float(q @ q)) + _TINY)
+        # |k|^2 - 2 k.q for the rows the prefilter serves, in their order
+        approx = chunk[bounds < math.inf] @ keys.T
+        approx *= -2.0
+        approx += store._key_norms2
+        approx_rows = iter(approx)
+        for i, q in enumerate(chunk):
+            if not q_max[i] < math.inf:  # NaN fails too
+                raise NumericalError("nearest-neighbor query is not finite")
+            if bounds[i] == math.inf:
+                out[start + i] = _exact_nearest(keys, q, k, float(q_max[i]))
+            else:
+                out[start + i] = _prefiltered_nearest(keys, q, next(approx_rows), k,
+                                                      float(bounds[i]))
+    return out[0] if queries.ndim == 1 else out
+
+
+def _exact_nearest(keys: np.ndarray, q: np.ndarray, k: int, q_max: float) -> np.ndarray:
+    """The k nearest keys to one query by a stable sort of every d."""
+    with np.errstate(over="ignore"):
+        d = np.sum((keys - q) ** 2, axis=1)
+    nearest = np.argsort(d, kind="stable")[:k]
+    if d[nearest[-1]] == math.inf:
+        raise NumericalError(
+            f"nearest-neighbor distances overflow at a query component of {q_max:.3g}")
+    return nearest
+
+
+def _prefiltered_nearest(keys: np.ndarray, q: np.ndarray, approx: np.ndarray, k: int,
+                         bound: float) -> np.ndarray:
+    """The k nearest keys to one query from its approximate distances a and
+    their error bound E; nearest_indices derives both and proves the order."""
     kth = np.partition(approx, k - 1)[k - 1]
     candidates = np.flatnonzero(approx <= kth + 2.0 * bound)
     candidates = candidates[np.argsort(approx[candidates])]
@@ -270,7 +314,8 @@ def nearest_indices(store: NeighborStore, query) -> np.ndarray:
     return candidates[np.lexsort((candidates, d, run))[:k]]
 
 
-def sknn_step(store: NeighborStore, gate: GateModel, query, velocity, prev) -> np.ndarray:
+def sknn_step(store: NeighborStore, gate: GateModel, query, velocity, prev,
+              neighbors=None) -> np.ndarray:
     """One step of gated KNN regression.
 
     For the K nearest stored keys to the query pose, each neighbor's implied
@@ -285,11 +330,13 @@ def sknn_step(store: NeighborStore, gate: GateModel, query, velocity, prev) -> n
     Kalman states and sit about one position error away from their targets;
     measuring the velocity from a key would add that offset to every
     deviation, so keys are used only to find the neighbors.
+
+    neighbors, when given, is nearest_indices(store, query), searched ahead
+    of the step; _sknn_track searches a chunk of its frames in one call.
     """
-    query = np.asarray(query, dtype=np.float64)
     velocity = np.asarray(velocity, dtype=np.float64)
     prev = np.asarray(prev, dtype=np.float64)
-    idx = nearest_indices(store, query)
+    idx = nearest_indices(store, query) if neighbors is None else neighbors
     # (48, k) and C-contiguous: each row's reduction is the same pairwise sum
     # as the mean of that component's column of the (k, 48) neighbor targets
     rows = np.take(store._targets_t, idx, axis=1)
@@ -582,9 +629,15 @@ def _sknn_track(query_data: np.ndarray, velocity_stream: np.ndarray,
     """
     out = np.empty_like(query_data)
     out[0] = query_data[0]
-    for t in range(1, query_data.shape[0]):
-        anchor = query_data[t - 1] if anchor_on_query else out[t - 1]
-        out[t] = sknn_step(store, gate, query_data[t], velocity_stream[t - 1], anchor)
+    n = query_data.shape[0]
+    # the queries are known up front, only the gate's anchor is recursive
+    for start in range(1, n, _SEARCH_CHUNK):
+        stop = min(start + _SEARCH_CHUNK, n)
+        found = nearest_indices(store, query_data[start:stop])
+        for t, neighbors in zip(range(start, stop), found):
+            anchor = query_data[t - 1] if anchor_on_query else out[t - 1]
+            out[t] = sknn_step(store, gate, query_data[t], velocity_stream[t - 1], anchor,
+                               neighbors=neighbors)
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -619,6 +620,38 @@ class TestRefineAndEval:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("network, output_dim, command", [
+        ("pdrnn", 1, ("refine", "pdrnn")),
+        ("vdrnn", 1, ("refine", "kf")),
+        ("vdrnn", 47, ("refine", "sknn")),
+        ("vdrnn_plus", 1, ("refine", "sknnkf")),
+        ("vdrnn", 1, ("train", "vdrnn_plus")),
+    ], ids=["pdrnn-pdrnn", "vdrnn-kf", "vdrnn-sknn", "vdrnn_plus-sknnkf", "vdrnn-train"])
+    def test_network_of_other_dimensions_is_one_line_data_error(
+            self, trained, capsys, network, output_dim, command):
+        tmp_path, config = trained
+        models = tmp_path / "models"
+        checkpoint = models / f"{network}.json"
+        cfg = dataclasses.replace(drnn.load_checkpoint(checkpoint).config, output_dim=output_dim)
+        drnn.save_checkpoint(checkpoint, drnn.init_params(cfg))
+        name, which = command
+        if name == "refine":
+            out = tmp_path / "out" / f"{which}.jsonl"
+            argv = ("refine", "--config", config, "--variant", which,
+                    "--input", tmp_path / "corpus" / "test.corrupted.jsonl", "--out", out)
+        else:
+            out = models / f"{which}_loss.csv"
+            out.unlink()
+            argv = ("train", "--config", config, "--which", which)
+        capsys.readouterr()
+        code = run(*argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{network}.json" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("split, variant", [

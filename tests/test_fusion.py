@@ -273,6 +273,24 @@ def knn_cases(draw):
     return keys, k, query
 
 
+@st.composite
+def knn_batch_cases(draw):
+    """A knn_cases store and k with a batch of 0 to 150 queries: the case's
+    own query, copies of keys, keys moved at several scales, and queries
+    that take the exact path through one component at 5e153."""
+    keys, k, query = draw(knn_cases())
+    m = draw(st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    queries = keys[rng.integers(0, len(keys), size=m)].copy()
+    moved = rng.random(m) < 0.5
+    scales = rng.choice([1e-3, 1e-1, 1.0], size=(m, 1))
+    queries[moved] += (scales * rng.normal(size=(m, POSE_DIM)))[moved]
+    queries[rng.random(m) < 0.2] = query
+    for i in np.flatnonzero(rng.random(m) < 0.1):
+        queries[i, rng.integers(0, POSE_DIM)] = rng.choice([-5e153, 5e153])
+    return keys, k, queries
+
+
 class TestNearestIndices:
     @given(knn_cases())
     @settings(max_examples=200, deadline=None)
@@ -297,6 +315,50 @@ class TestNearestIndices:
         out = sknn_step(store, GateModel(sigma2, theta), query, velocity, prev)
         expected = brute_force_sknn(keys, targets, k, sigma2, theta, query, velocity, prev)
         assert np.array_equal(out, expected)
+        searched = sknn_step(store, GateModel(sigma2, theta), query, velocity, prev,
+                             neighbors=nearest_indices(store, query))
+        assert np.array_equal(searched, out)
+
+    @given(knn_batch_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_match_one_query_search_and_full_sort(self, case):
+        keys, k, queries = case
+        store = NeighborStore(keys, np.zeros_like(keys), k=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = nearest_indices(store, queries)
+            assert found.shape == (len(queries), min(k, len(keys)))
+            for query, row in zip(queries, found):
+                assert np.array_equal(row, nearest_indices(store, query))
+                assert list(row) == brute_force_nearest(keys, query, k)
+
+    @pytest.mark.parametrize("k", [3, 8], ids=["prefilter", "full_sort"])
+    @pytest.mark.parametrize("overflowing, non_finite", [(3, 70), (70, 3), (5, 9), (9, 5)])
+    def test_batch_raises_the_first_offending_rows_error(self, k, overflowing, non_finite):
+        rng = np.random.default_rng(20)
+        keys = rng.normal(size=(8, POSE_DIM))
+        store = NeighborStore(keys, keys, k=k)
+        queries = rng.normal(size=(2 * 64 + 5, POSE_DIM))
+        queries[overflowing] = 1e306 * rng.normal(size=POSE_DIM)
+        queries[non_finite, 7] = np.nan
+        first = min(overflowing, non_finite)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as one_query:
+                nearest_indices(store, queries[first])
+            with pytest.raises(NumericalError) as batch:
+                nearest_indices(store, queries)
+        assert ("overflow" in str(one_query.value)) == (first == overflowing)
+        assert str(batch.value) == str(one_query.value)
+
+    @pytest.mark.parametrize("k, found", [(3, 3), (20, 8)])
+    def test_empty_batch_finds_nothing(self, k, found):
+        rng = np.random.default_rng(21)
+        store = NeighborStore(rng.normal(size=(8, POSE_DIM)), rng.normal(size=(8, POSE_DIM)),
+                              k=k)
+        result = nearest_indices(store, np.empty((0, POSE_DIM)))
+        assert result.shape == (0, found)
+        assert result.dtype == nearest_indices(store, np.zeros(POSE_DIM)).dtype
 
     def test_near_ties_across_the_kth_boundary(self):
         # At a 1e4 offset with a 1e-3 spread the prefilter's error bound
@@ -393,6 +455,39 @@ class TestNearestIndices:
             kept_11.append(sum(math.erfc(d / math.sqrt(2.0 * sigma2[11])) > theta
                                for d in deviation))
         assert any(0 < kept < k for kept in kept_11)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("anchor_on_query", [False, True], ids=["output", "query"])
+    def test_track_across_search_chunks_matches_step_loop(self, anchor_on_query):
+        # 2 * 64 + 5 frames: the track searches frames 1-64, 65-128 and
+        # 129-132 in one call each
+        rng = np.random.default_rng(22)
+        keys = rng.normal(size=(150, POSE_DIM))
+        keys[90] = keys[20]  # a distance tie
+        targets = rng.normal(scale=0.1, size=(150, POSE_DIM))
+        sigma2 = np.full(POSE_DIM, 1e6)  # keeps every neighbor
+        sigma2[5] = 1e-18  # rejects every neighbor: the fallback
+        sigma2[11] = 0.01  # rejects some neighbors
+        store = NeighborStore(keys, targets, k=30)
+        gate = GateModel(sigma2, 0.05)
+        query = rng.normal(size=(2 * 64 + 5, POSE_DIM))
+        query[[64, 65, 132]] = keys[20]
+        velocity = rng.normal(scale=0.01, size=(len(query) - 1, POSE_DIM))
+
+        out = _sknn_track(query, velocity, store, gate, anchor_on_query)
+
+        expected = np.empty_like(query)
+        expected[0] = query[0]
+        kept = []
+        for t in range(1, len(query)):
+            anchor = query[t - 1] if anchor_on_query else expected[t - 1]
+            expected[t] = sknn_step(store, gate, query[t], velocity[t - 1], anchor)
+            deviation = np.abs((targets[nearest_indices(store, query[t])] - anchor)
+                               - velocity[t - 1])
+            kept.append(gate.passes(deviation).sum(axis=0))
+        kept = np.array(kept)
+        assert np.all(kept[:, 5] == 0)
+        assert np.any((kept[:, 11] > 0) & (kept[:, 11] < store.k))
         assert np.array_equal(out, expected)
 
 
