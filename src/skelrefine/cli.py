@@ -59,9 +59,9 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or not raw:
         raise ConfigurationError(f"config {path} must be a non-empty JSON object")

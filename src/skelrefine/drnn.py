@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +44,12 @@ from .errors import (
     NumericalError,
 )
 from .skeleton import (
+    VALUE_LIMIT,
     Encoding,
     KinematicTree,
     SkeletonSequence,
-    sequence_to_absolute,
-    sequence_to_relative,
+    absolute_coords,
+    relative_coords,
     velocities,
 )
 
@@ -91,6 +92,11 @@ class DrnnConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DrnnConfig":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"network config must be an object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown network config key {min(unknown)!r}")
         try:
             return cls(
                 input_dim=optim.whole_count(data["input_dim"], "input_dim"),
@@ -144,20 +150,18 @@ def _params_from_arrays(config: DrnnConfig, arrays: list[np.ndarray]) -> DrnnPar
 
 
 def init_params(config: DrnnConfig) -> DrnnParams:
-    """Seeded random initialization, uniform(-a, a) with a = sqrt(6/(fi+fo))."""
+    """Seeded random initialization, drawn in the order of _expected_shapes:
+    each (fan_in, fan_out) weight matrix uniform(-a, a) with
+    a = sqrt(6/(fan_in + fan_out)), each bias zeros."""
     rng = np.random.default_rng(config.seed)
-    sizes = (config.input_dim, *config.hidden_sizes)
-    inter, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        inter.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    r = config.recurrent_size
-    bound = np.sqrt(6.0 / (r + r))
-    recurrent = rng.uniform(-bound, bound, size=(r, r))
-    bound = np.sqrt(6.0 / (config.hidden_sizes[-1] + config.output_dim))
-    out_weight = rng.uniform(-bound, bound, size=(config.hidden_sizes[-1], config.output_dim))
-    return DrnnParams(config, inter, biases, recurrent, out_weight, np.zeros(config.output_dim))
+    arrays = []
+    for _, shape in _expected_shapes(config):
+        if len(shape) == 2:
+            bound = np.sqrt(6.0 / sum(shape))
+            arrays.append(rng.uniform(-bound, bound, size=shape))
+        else:
+            arrays.append(np.zeros(shape))
+    return _params_from_arrays(config, arrays)
 
 
 def zeros_like_params(params: DrnnParams) -> DrnnParams:
@@ -193,7 +197,7 @@ def run_stream(params: DrnnParams, stream) -> np.ndarray:
     so the state starts at zero and runs through every frame. The caller's
     stream is not written. Raises DimensionError for a stream that is not
     (frames, input_dim) with at least one frame, and NumericalError when an
-    output is not finite.
+    output is not finite or exceeds VALUE_LIMIT in magnitude.
     """
     cfg = params.config
     s = np.asarray(stream, dtype=np.float64)
@@ -204,8 +208,8 @@ def run_stream(params: DrnnParams, stream) -> np.ndarray:
     if s.shape[0] < 1:
         raise DimensionError("stream must contain at least one frame")
     outputs = _forward(params, s, len(s), 1)[0].reshape(len(s), cfg.output_dim)
-    if not np.isfinite(outputs).all():
-        raise NumericalError("network outputs are not finite; activations overflowed")
+    if not np.abs(outputs).max() <= VALUE_LIMIT:  # NaN fails too
+        raise NumericalError(f"network outputs are not finite or exceed ±{VALUE_LIMIT:g}")
     return outputs
 
 
@@ -524,20 +528,13 @@ def refine_positions(params: DrnnParams, seq: SkeletonSequence,
     The sequence is re-encoded parent-relative, streamed through the network
     with the hidden state carried across all frames, and resolved back to
     absolute coordinates. Output length equals input length. Raises
-    NumericalError when the network's outputs or the absolute poses summed
-    from them are not finite.
+    NumericalError when the network's outputs are not finite or exceed
+    VALUE_LIMIT (see run_stream).
     """
     if seq.encoding is not Encoding.ABSOLUTE:
         raise EncodingError("refine_positions expects an absolute sequence")
-    rel = sequence_to_relative(seq, tree)
-    refined = SkeletonSequence(run_stream(params, rel.data), Encoding.RELATIVE,
-                               seq.frame_rate_hz)
-    try:
-        # finite offsets can only sum to a non-finite pose by overflowing
-        with np.errstate(over="raise"):
-            return sequence_to_absolute(refined, tree)
-    except FloatingPointError as exc:
-        raise NumericalError(f"refined absolute poses are not finite: {exc}") from exc
+    refined = run_stream(params, relative_coords(seq.data, tree))
+    return seq.with_data(absolute_coords(refined, tree))
 
 
 def refine_velocities(params: DrnnParams, seq: SkeletonSequence) -> np.ndarray:
@@ -566,7 +563,7 @@ def load_checkpoint(path) -> DrnnParams:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{path}: checkpoint is not a JSON object")
@@ -597,5 +594,7 @@ def load_checkpoint(path) -> DrnnParams:
         data = seqio.finite_rows([data], size) if isinstance(data, list) else None
         if data is None:
             raise DataError(f"{path}: array {name!r} data must be {size} finite numbers")
+        if np.abs(data).max() > VALUE_LIMIT:
+            raise NumericalError(f"{path}: array {name!r} data must lie within ±{VALUE_LIMIT:g}")
         loaded.append(data.reshape(shape))
     return _params_from_arrays(config, loaded)

@@ -36,8 +36,9 @@ are sorted by that approximate distance. The exact formula is evaluated
 only for near ties, keys whose approximate distances lie within twice the
 bound of a neighbor's, and re-ranks them (nearest_indices derives the bound
 and the order; it holds for any summation order of k.q, so for a GEMM too).
-The result is the full stable sort's, bit for bit, for finite inputs. The
-gate's (k, 48) deviation is built in one buffer, the gate mean is one row
+The result is the full stable sort's, bit for bit, within the search's
+numeric domain (_QUERY_LIMIT), far beyond skeleton.VALUE_LIMIT. The gate's
+(k, 48) deviation is built in one buffer, the gate mean is one row
 reduction over a component-major gather, with a loop only over components
 the gate partly rejects, and the Kalman gain sequence, which does not
 depend on the data, is computed once per stream. With a 5000-key store at
@@ -66,6 +67,7 @@ from .errors import (
 )
 from .skeleton import (
     POSE_DIM,
+    VALUE_LIMIT,
     Encoding,
     KinematicTree,
     SkeletonSequence,
@@ -141,8 +143,8 @@ def estimate_gate(validation_residuals, theta: float = DEFAULT_THETA) -> GateMod
 class NeighborStore:
     """Paired (key pose, target pose) training points for KNN regression.
 
-    Keys and targets must be finite: the neighbor search is exact only for
-    finite inputs.
+    Targets must be finite, and keys within _QUERY_LIMIT in magnitude, the
+    domain in which the neighbor search is exact.
     """
 
     keys: np.ndarray  # (n, 48)
@@ -160,14 +162,11 @@ class NeighborStore:
             raise ValueError("store must not be empty")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not (np.all(np.isfinite(keys)) and np.all(np.isfinite(targets))):
-            raise ValueError("keys and targets must be finite")
+        if not (np.all(np.abs(keys) <= _QUERY_LIMIT) and np.all(np.isfinite(targets))):
+            raise ValueError(f"keys must lie within ±{_QUERY_LIMIT:g} and targets be finite")
         keys = keys.copy()
         targets = targets.copy()
-        # a norm that overflows is inf, which sends every query down
-        # nearest_indices' exact path
-        with np.errstate(over="ignore"):
-            key_norms2 = np.sum(keys * keys, axis=1)
+        key_norms2 = np.sum(keys * keys, axis=1)
         # component-major, so that a gather of neighbors along axis 1 is
         # C-contiguous and its row sums are numpy's pairwise sums
         targets_t = np.ascontiguousarray(targets.T)
@@ -187,8 +186,10 @@ class NeighborStore:
 _PREFILTER_SLACK = 4 * (POSE_DIM + 2)
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
-# Up to this largest |q_j|, q.q over 48 components cannot overflow.
-_QUERY_LIMIT = 1e153
+# The neighbor search's numeric domain: with every key and query component
+# within it, no norm, dot product or squared distance over 48 components
+# exceeds 48 (2e150)^2, about 2e302.
+_QUERY_LIMIT = 1e150
 # Queries per GEMM in a batched search: the (64, n) distance block of a
 # 5000-key store is 2.5 MB.
 _SEARCH_CHUNK = 64
@@ -201,12 +202,14 @@ def nearest_indices(store: NeighborStore, query) -> np.ndarray:
     row i is the one-query result for row i. Exact search; ties at equal
     distance go to the lower store index. k is clamped to the store size.
     Each result is, bit for bit, that of a stable argsort of d[i] =
-    np.sum((keys[i] - q) ** 2) over the whole store. A non-finite query, or
-    a k-th nearest d that overflows (every key beyond it would tie at inf),
-    raises NumericalError; rows are checked in order, so a batch raises the
-    error of its first such row.
+    np.sum((keys[i] - q) ** 2) over the whole store. A query that is not
+    finite, or whose distances could overflow (a component beyond
+    _QUERY_LIMIT in magnitude), raises NumericalError; rows are checked in
+    order before any is searched, so a batch raises the error of its first
+    such row. NeighborStore holds its keys within the same limit, so
+    nothing below overflows.
 
-    When k < n, a prefilter picks the keys worth ranking exactly. For key k
+    A prefilter picks the keys worth ranking exactly. For key k
     and query q, with m = 48 components, unit roundoff u = eps/2 and
     gamma_m = m u / (1 - m u), let a = fl(fl(|k|^2) - 2 fl(k.q)), the
     expansion without its constant |q|^2. With S = |k|^2 + |q|^2:
@@ -247,50 +250,32 @@ def nearest_indices(store: NeighborStore, query) -> np.ndarray:
     d, index), with d computed only for the members of runs longer than
     one, is therefore the full sort's order with its lower-index
     tie-break; a tie in a puts both keys in one run, so the sort by a need
-    not be stable. When k >= n, when a query component exceeds _QUERY_LIMIT
-    in magnitude (so that |q|^2 could overflow), or when S_max overflows,
-    every key is ranked by d; such rows stay out of the GEMM.
+    not be stable. When k >= n, a_k is the largest a and every key is a
+    candidate, so the same order holds.
     """
     queries = np.asarray(query, dtype=np.float64)
     rows = np.atleast_2d(queries)
+    q_max = np.abs(rows).max(axis=1)
+    beyond = np.flatnonzero(~(q_max <= _QUERY_LIMIT))  # NaN fails too
+    if beyond.size:
+        worst = q_max[beyond[0]]
+        if not worst < math.inf:
+            raise NumericalError("nearest-neighbor query is not finite")
+        raise NumericalError(f"nearest-neighbor distances could overflow at a query "
+                             f"component of {worst:.3g}, beyond ±{_QUERY_LIMIT:g}")
     keys = store.keys
-    n = keys.shape[0]
-    k = min(store.k, n)
+    k = min(store.k, keys.shape[0])
     out = np.empty((rows.shape[0], k), dtype=np.intp)
     for start in range(0, rows.shape[0], _SEARCH_CHUNK):
         chunk = rows[start:start + _SEARCH_CHUNK]
-        q_max = np.abs(chunk).max(axis=1)
-        bounds = np.full(chunk.shape[0], math.inf)
-        if k < n:
-            for i in np.flatnonzero(q_max <= _QUERY_LIMIT):  # NaN fails too
-                q = chunk[i]
-                bounds[i] = _PREFILTER_SLACK * (
-                    _EPS * (store._max_key_norm2 + float(q @ q)) + _TINY)
-        # |k|^2 - 2 k.q for the rows the prefilter serves, in their order
-        approx = chunk[bounds < math.inf] @ keys.T
+        # |k|^2 - 2 k.q for every row of the chunk
+        approx = chunk @ keys.T
         approx *= -2.0
         approx += store._key_norms2
-        approx_rows = iter(approx)
         for i, q in enumerate(chunk):
-            if not q_max[i] < math.inf:  # NaN fails too
-                raise NumericalError("nearest-neighbor query is not finite")
-            if bounds[i] == math.inf:
-                out[start + i] = _exact_nearest(keys, q, k, float(q_max[i]))
-            else:
-                out[start + i] = _prefiltered_nearest(keys, q, next(approx_rows), k,
-                                                      float(bounds[i]))
+            bound = _PREFILTER_SLACK * (_EPS * (store._max_key_norm2 + float(q @ q)) + _TINY)
+            out[start + i] = _prefiltered_nearest(keys, q, approx[i], k, bound)
     return out[0] if queries.ndim == 1 else out
-
-
-def _exact_nearest(keys: np.ndarray, q: np.ndarray, k: int, q_max: float) -> np.ndarray:
-    """The k nearest keys to one query by a stable sort of every d."""
-    with np.errstate(over="ignore"):
-        d = np.sum((keys - q) ** 2, axis=1)
-    nearest = np.argsort(d, kind="stable")[:k]
-    if d[nearest[-1]] == math.inf:
-        raise NumericalError(
-            f"nearest-neighbor distances overflow at a query component of {q_max:.3g}")
-    return nearest
 
 
 def _prefiltered_nearest(keys: np.ndarray, q: np.ndarray, approx: np.ndarray, k: int,
@@ -665,8 +650,9 @@ def run_pipeline(variant: str, seq: SkeletonSequence, models: FusionModels) -> S
     Variants: raw (pass-through), pdrnn (position network only), sknn, kf,
     sknnkf, and the ablations sknn_minus_pdrnn, sknn_minus_vdrnn,
     naive_sknn, kf_minus_pdrnn. Missing models raise ConfigurationError, a
-    sequence in another encoding EncodingError. Deterministic: identical
-    inputs and models give identical outputs.
+    sequence in another encoding EncodingError, and an output the sequence
+    reader would refuse, beyond VALUE_LIMIT, NumericalError. Deterministic:
+    identical inputs and models give identical outputs.
     """
     spec = _variant(variant)
     if seq.encoding is not Encoding.ABSOLUTE:
@@ -682,6 +668,8 @@ def run_pipeline(variant: str, seq: SkeletonSequence, models: FusionModels) -> S
     elif spec.noise is not None:
         fused = kalman_filter_stream(fused, streams[spec.velocity],
                                      *(getattr(models, n) for n in spec.noise))
+    if not np.abs(fused).max() <= VALUE_LIMIT:
+        raise NumericalError(f"variant {variant!r} gives poses beyond ±{VALUE_LIMIT:g}")
     return seq.with_data(fused)
 
 

@@ -18,7 +18,8 @@ When a quasi-Newton search finds no step, the search is retried once along
 the raw gradient with the curvature history dropped.
 
 whole_count and real_number, kept here beside the one spec they check,
-read every number of a config, a corpus manifest or a checkpoint.
+read every number of a config, a corpus manifest or a checkpoint; a real
+number must lie within skeleton.VALUE_LIMIT.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, TrainingDivergedError
+from .skeleton import VALUE_LIMIT
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -54,16 +56,16 @@ def whole_count(raw, what: str, minimum: int = 1) -> int:
 
 
 def real_number(raw, what: str) -> float:
-    """A finite real as a float: a JSON integer or number, not a boolean,
-    that a float can hold."""
+    """A real within ±VALUE_LIMIT as a float: a JSON integer or number, not
+    a boolean."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         try:
             value = float(raw)
         except OverflowError:
             value = math.inf
-        if math.isfinite(value):
+        if abs(value) <= VALUE_LIMIT:  # NaN fails too
             return value
-    raise ConfigurationError(f"{what} must be a finite number, got {raw!r}")
+    raise ConfigurationError(f"{what} must be a finite number within ±{VALUE_LIMIT:g}: {raw!r}")
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, NumericalError
 from .optim import real_number
-from .skeleton import POSE_DIM, Encoding, SkeletonSequence
+from .skeleton import POSE_DIM, VALUE_LIMIT, Encoding, SkeletonSequence
 
 
 @contextmanager
@@ -52,20 +52,21 @@ def write_sequence(path, seq: SkeletonSequence) -> None:
 
 
 def read_sequence(path) -> SkeletonSequence:
-    """Read a sequence file; any malformed content raises DataError.
+    """Read a sequence file; any malformed content raises DataError, and a
+    finite joint value beyond VALUE_LIMIT in magnitude NumericalError.
 
     Errors in a frame record name the file and line.
     """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise DataError(f"cannot read sequence file {path}: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty sequence file")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: malformed header line: {exc}") from exc
     if not isinstance(header, dict) or "frame_rate_hz" not in header or "encoding" not in header:
         raise DataError(f"{path}: header must carry frame_rate_hz and encoding")
@@ -87,7 +88,7 @@ def read_sequence(path) -> SkeletonSequence:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed frame record: {exc}") from exc
         if not isinstance(record, dict):
             raise DataError(f"{path}:{lineno}: frame record must be a JSON object")
@@ -107,6 +108,9 @@ def read_sequence(path) -> SkeletonSequence:
     if data is None:
         lineno = next(n for joints, n in zip(frames, linenos) if finite_rows([joints]) is None)
         raise DataError(f"{path}:{lineno}: joint values must be finite numbers")
+    if np.abs(data).max() > VALUE_LIMIT:
+        lineno = linenos[np.argmax(np.abs(data).max(axis=1) > VALUE_LIMIT)]
+        raise NumericalError(f"{path}:{lineno}: joint values must lie within ±{VALUE_LIMIT:g}")
     return SkeletonSequence(data, encoding, frame_rate)
 
 

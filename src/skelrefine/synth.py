@@ -29,11 +29,12 @@ from typing import Callable
 import numpy as np
 
 from . import seqio
-from .errors import ConfigurationError, DataError, EncodingError
+from .errors import ConfigurationError, DataError, EncodingError, NumericalError
 from .optim import real_number, whole_count
 from .skeleton import (
     DEFAULT_TREE,
     N_JOINTS,
+    VALUE_LIMIT,
     Encoding,
     JointId,
     KinematicTree,
@@ -378,6 +379,8 @@ def build_corpus(
 
     Each split is generated independently with seeds derived from the two
     config seeds, so splits share motion statistics but not trajectories.
+    Corruption that draws a joint value beyond VALUE_LIMIT raises
+    NumericalError, so no corpus is built that the reader would refuse.
     """
     split_ratios = read_split_ratios(split_ratios)
     counts = split_frame_counts(motion_cfg.n_frames, split_ratios)
@@ -390,7 +393,10 @@ def build_corpus(
         split_motion = replace(motion_cfg, n_frames=n_frames, seed=int(motion_seeds[i]))
         split_corruption = replace(corruption_cfg, seed=int(corruption_seeds[i]))
         clean = generate_ground_truth(split_motion, tree, pool)
-        pairs[name] = SequencePair(corrupt(clean, split_corruption), clean)
+        corrupted = corrupt(clean, split_corruption)
+        if np.abs(corrupted.data).max() > VALUE_LIMIT:
+            raise NumericalError(f"corrupted {name} split exceeds ±{VALUE_LIMIT:g}: lower sigmas")
+        pairs[name] = SequencePair(corrupted, clean)
     return Corpus(
         train=pairs["train"],
         validation=pairs["validation"],
@@ -452,15 +458,16 @@ def read_corpus(corpus_dir) -> Corpus:
     manifest_path = corpus_dir / MANIFEST_NAME
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read corpus manifest {manifest_path}: {exc}") from exc
     try:
         splits = manifest["splits"]
         readers = {}
         for name in SPLIT_NAMES:
-            entry = splits[name]
-            readers[name] = partial(_read_pair, corpus_dir / entry["corrupted"],
-                                    corpus_dir / entry["clean"])
+            files = splits[name]["corrupted"], splits[name]["clean"]
+            if not all(isinstance(f, str) and f.isprintable() for f in files):
+                raise DataError(f"{manifest_path}: bad {name} split file names {files!r}")
+            readers[name] = partial(_read_pair, *(corpus_dir / f for f in files))
         return Corpus(
             **readers,
             motion_config=MotionConfig.from_dict(manifest["motion_config"]),

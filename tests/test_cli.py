@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -201,6 +203,47 @@ def test_malformed_config_is_one_line_usage_error(tmp_path, capsys, edit):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unknown_network_key_is_one_line_usage_error(tmp_path, capsys):
+    config = json.loads(json.dumps(TOY_CONFIG))
+    config["vdrnn"]["hiden_sizes"] = [4, 4]  # would silently train the default layout
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run("train", "--config", path, "--which", "pdrnn")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: network block 'vdrnn': ") and err.count("\n") == 1
+    assert "'hiden_sizes'" in err
+
+
+@pytest.mark.parametrize("section, key, value, code", [
+    ("corruption", "jitter_sigma", 1e308, 1),
+    ("corruption", "displacement_sigma", 1e308, 1),
+    ("corpus", "frame_rate_hz", 1e308, 1),
+    ("corpus", "root_amplitude_m", 2e6, 1),
+    # a sigma within the bound whose draws are not, so the reader would refuse them
+    ("corruption", "jitter_sigma", 1e6, 3),
+])
+def test_synth_beyond_the_value_limit_is_one_line_error(tmp_path, capsys, section, key, value,
+                                                        code):
+    # at 1e308, the noise overflowed the synthesized poses to inf, and at
+    # that frame rate a bandwidth of 4e307 overflowed the sinusoids' phases
+    config = json.loads(json.dumps(TOY_CONFIG))
+    (config["corpus"] if section == "corpus" else config["corpus"]["corruption"])[key] = value
+    if key == "frame_rate_hz":
+        config["corpus"]["motion_bandwidth_hz"] = 4e307
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("synth", "--config", path) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert code == 3 or key in captured.err
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "corpus").exists()
+
+
 def _leaf_paths(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():
@@ -265,7 +308,9 @@ def test_readme_minimal_config_loads(tmp_path):
 @pytest.mark.parametrize("section,key,value", [
     ("motion_config", "n_frames", 200.5), ("motion_config", "seed", True),
     ("corruption_config", "occlusion_duration_frames", [3, 6.5]),
-], ids=["n_frames_fraction", "seed_boolean", "occlusion_duration_fraction"])
+    ("splits", "train", {"corrupted": "train\n.jsonl", "clean": "train.clean.jsonl"}),
+], ids=["n_frames_fraction", "seed_boolean", "occlusion_duration_fraction",
+        "file_name_line_break"])
 def test_malformed_manifest_is_one_line_data_error(workspace, capsys, section, key, value):
     tmp_path, config = workspace
     assert run("synth", "--config", config) == 0
@@ -382,7 +427,7 @@ class TestTrainCommand:
         assert run("synth", "--config", config) == 0
         path = tmp_path / "corpus" / "validation.corrupted.jsonl"
         source = seqio.read_sequence(path)
-        # finite, so the reader accepts it, but the validation SSE overflows
+        # finite, but beyond VALUE_LIMIT, so the reader refuses it
         seqio.write_sequence(path, source.with_data(source.data * 1e306))
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -558,7 +603,7 @@ class TestRefineAndEval:
         truth = SkeletonSequence(rng.normal(size=(10, POSE_DIM)), Encoding.ABSOLUTE)
         truth_path, pred_path = tmp_path / "truth.jsonl", tmp_path / "pred.jsonl"
         seqio.write_sequence(truth_path, truth)
-        # finite, so the reader accepts it, but its errors overflow
+        # finite, but beyond VALUE_LIMIT, so the reader refuses it
         seqio.write_sequence(pred_path, truth.with_data(truth.data * 1e306))
         hist_csv = tmp_path / "hist.csv"
         code = run("eval", "--pred", pred_path, "--truth", truth_path, "--out", hist_csv)
@@ -572,7 +617,7 @@ class TestRefineAndEval:
             self, trained, capsys):
         tmp_path, config = trained
         source = seqio.read_sequence(tmp_path / "corpus" / "test.corrupted.jsonl")
-        # finite, so the reader accepts it, but every neighbor distance overflows
+        # finite, but beyond VALUE_LIMIT, so the reader refuses it
         huge = tmp_path / "huge.jsonl"
         seqio.write_sequence(huge, source.with_data(source.data * 1e306))
         capsys.readouterr()
@@ -594,16 +639,20 @@ class TestRefineAndEval:
         ("pdrnn", {"out_bias": 1e308}, "pdrnn"),
         ("vdrnn", {"bias_1": 1e300, "inter_2": 1e300}, "kf"),
         ("vdrnn", {"bias_1": 1e300, "inter_2": 1e300}, "sknn"),
-    ], ids=["pdrnn-weights", "pdrnn-out_bias", "vdrnn-kf", "vdrnn-sknn"])
+        ("pdrnn", {"inter_1": 1e4, "inter_2": 1e4}, "pdrnn"),
+        ("pdrnn", {"out_bias": 0.9e6}, "pdrnn"),
+        ("vdrnn", {"out_bias": 0.9e6}, "kf"),
+    ], ids=["pdrnn-weights", "pdrnn-out_bias", "vdrnn-kf", "vdrnn-sknn",
+            "pdrnn-outputs_beyond", "pdrnn-poses_beyond", "vdrnn-kf_states_beyond"])
     def test_overflowing_network_is_one_line_numerical_error(
             self, trained, capsys, network, edit, variant):
         tmp_path, config = trained
         checkpoint = tmp_path / "models" / f"{network}.json"
         payload = json.loads(checkpoint.read_text())
-        # weights scaled and biases filled: finite, so the loader accepts
-        # them, but the outputs, or the absolute poses summed from them,
-        # overflow. The toy pdrnn's outputs barely move, so the vdrnn they
-        # feed is driven through its first bias.
+        # weights scaled and biases filled: beyond VALUE_LIMIT, so the loader
+        # refuses them, or within it but driving beyond it the network's
+        # outputs, the absolute poses summed from five of them over the
+        # tree's depth, or the Kalman states
         for name, value in edit.items():
             data = payload["arrays"][name]["data"]
             payload["arrays"][name]["data"] = (
@@ -662,8 +711,7 @@ class TestRefineAndEval:
         tmp_path, config = trained
         path = tmp_path / "corpus" / f"{split}.corrupted.jsonl"
         source = seqio.read_sequence(path)
-        # finite, so the reader accepts it, but the fitted variances or the
-        # store's key norms overflow
+        # finite, but beyond VALUE_LIMIT, so the reader refuses it
         seqio.write_sequence(path, source.with_data(source.data * 1e306))
         out = tmp_path / "out" / f"{variant}.jsonl"
         capsys.readouterr()
@@ -676,6 +724,47 @@ class TestRefineAndEval:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pdrnn", "kf", "raw", "eval"])
+    def test_input_beyond_the_value_limit_is_one_line_numerical_error(
+            self, trained, capsys, command):
+        tmp_path, config = trained
+        source = seqio.read_sequence(tmp_path / "corpus" / "test.corrupted.jsonl")
+        huge = tmp_path / "huge.jsonl"
+        seqio.write_sequence(huge, source.with_data(source.data * 1e306))
+        out = tmp_path / "out" / f"{command}.out"
+        if command == "eval":
+            argv = ("eval", "--pred", huge, "--truth", tmp_path / "corpus" / "test.clean.jsonl",
+                    "--out", out)
+        else:
+            argv = ("refine", "--config", config, "--variant", command, "--input", huge,
+                    "--out", out)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {huge}:2: ") and captured.err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+    def test_unknown_checkpoint_config_key_is_one_line_data_error(self, trained, capsys):
+        tmp_path, config = trained
+        checkpoint = tmp_path / "models" / "pdrnn.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["config"]["hiden_sizes"] = [10, 10]
+        checkpoint.write_text(json.dumps(payload))
+        out = tmp_path / "out" / "pdrnn.jsonl"
+        capsys.readouterr()
+        code = run("refine", "--config", config, "--variant", "pdrnn",
+                   "--input", tmp_path / "corpus" / "test.corrupted.jsonl", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1
+        assert "'hiden_sizes'" in err
         assert not out.exists()
 
     def test_refined_outputs_parse_back(self, trained):
@@ -809,3 +898,154 @@ def test_cli_and_eval_never_import_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A toy workspace with a corpus and trained pdrnn and vdrnn, which the
+    fuzz examples copy and corrupt but never write."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = root / "config.json"
+    config.write_text(json.dumps(TOY_CONFIG))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("synth", "--config", config) == 0
+        for which in ("pdrnn", "vdrnn"):
+            assert run("train", "--config", config, "--which", which) == 0
+    return root
+
+
+def _replaced(data, node):
+    """node with one value replaced: a walk from the root that goes one
+    level deeper with probability 3/4 and replaces where it stops."""
+    if isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)) > 0:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        node[key] = _replaced(data, node[key])
+        return node
+    return data.draw(st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3)))
+
+
+def _dropped(data, node) -> None:
+    """Remove one entry of node or of an object or list nested in it."""
+    key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    if isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+        _dropped(data, node[key])
+    else:
+        del node[key]
+
+
+def _corrupted(data, text: str, jsonl: bool) -> bytes:
+    """text, a JSON document or one per line, with one value, one record or
+    one byte corrupted."""
+    kind = data.draw(st.sampled_from(["value", "record", "byte"]))
+    if kind == "byte":
+        raw = bytearray(text.encode("utf-8"))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        return bytes(raw)
+    if not jsonl:
+        doc = json.loads(text)
+        if kind == "record":
+            _dropped(data, doc)
+        else:
+            doc = _replaced(data, doc)
+        return json.dumps(doc).encode("utf-8")
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "value":
+        lines[i] = json.dumps(_replaced(data, json.loads(lines[i])))
+    else:
+        action = data.draw(st.sampled_from(["drop", "repeat", "swap"]))
+        if action == "drop":
+            del lines[i]
+        elif action == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _assert_one_outcome(argv, output: Path) -> None:
+    """The command exits 0, or exits 1, 2 or 3 with one error line and
+    without writing output; either way no numpy RuntimeWarning is raised."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run(*argv)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code in (0, 1, 2, 3)
+    if code:
+        err = stderr.getvalue()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not output.exists()
+
+
+@pytest.mark.parametrize("reader, code", [
+    ("config", 1), ("sequence", 2), ("checkpoint", 2), ("manifest", 2),
+])
+def test_file_that_is_not_utf8_is_one_line_error(fuzz_workspace, tmp_path, capsys, reader,
+                                                 code):
+    shutil.copytree(fuzz_workspace / "corpus", tmp_path / "corpus")
+    shutil.copytree(fuzz_workspace / "models", tmp_path / "models")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TOY_CONFIG))
+    source = tmp_path / "corpus" / "test.corrupted.jsonl"
+    broken = {"config": config, "sequence": source, "checkpoint": tmp_path / "models" / "pdrnn.json",
+              "manifest": tmp_path / "corpus" / "manifest.json"}[reader]
+    broken.write_bytes(b"\xff" + broken.read_bytes())
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert run("refine", "--config", config, "--variant", "kf", "--input", source,
+               "--out", out) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+class TestCorruptedFiles:
+    """Each reader through cli.main, on a valid file with one value, record
+    or byte corrupted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sequence_file(self, fuzz_workspace, data):
+        truth = fuzz_workspace / "corpus" / "test.clean.jsonl"
+        with tempfile.TemporaryDirectory() as folder:
+            pred, histogram = Path(folder) / "pred.jsonl", Path(folder) / "hist.csv"
+            pred.write_bytes(_corrupted(data, truth.read_text(), jsonl=True))
+            _assert_one_outcome(("eval", "--pred", pred, "--truth", truth, "--out", histogram),
+                                histogram)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint(self, fuzz_workspace, data):
+        with tempfile.TemporaryDirectory() as folder:
+            folder = Path(folder)
+            (folder / "models").mkdir()
+            source = fuzz_workspace / "models" / "pdrnn.json"
+            (folder / "models" / "pdrnn.json").write_bytes(
+                _corrupted(data, source.read_text(), jsonl=False))
+            config = folder / "config.json"
+            config.write_text(json.dumps({**TOY_CONFIG, "paths": {
+                "corpus": str(fuzz_workspace / "corpus"), "models": "models", "outputs": "out"}}))
+            out = folder / "out.jsonl"
+            _assert_one_outcome(("refine", "--config", config, "--variant", "pdrnn", "--input",
+                                 fuzz_workspace / "corpus" / "test.corrupted.jsonl", "--out", out),
+                                out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_corpus_manifest(self, fuzz_workspace, data):
+        with tempfile.TemporaryDirectory() as folder:
+            folder = Path(folder)
+            shutil.copytree(fuzz_workspace / "corpus", folder / "corpus")
+            manifest = folder / "corpus" / "manifest.json"
+            manifest.write_bytes(_corrupted(data, manifest.read_text(), jsonl=False))
+            config = folder / "config.json"
+            config.write_text(json.dumps({**TOY_CONFIG, "paths": {
+                "corpus": "corpus", "models": str(fuzz_workspace / "models"), "outputs": "out"}}))
+            out = folder / "out.jsonl"
+            _assert_one_outcome(("refine", "--config", config, "--variant", "kf", "--input",
+                                 fuzz_workspace / "corpus" / "test.corrupted.jsonl", "--out", out),
+                                out)

@@ -15,6 +15,7 @@ from skelrefine.errors import (
     NumericalError,
 )
 from skelrefine.fusion import (
+    _QUERY_LIMIT,
     _sknn_track,
     FusionModels,
     GateModel,
@@ -277,7 +278,7 @@ def knn_cases(draw):
 def knn_batch_cases(draw):
     """A knn_cases store and k with a batch of 0 to 150 queries: the case's
     own query, copies of keys, keys moved at several scales, and queries
-    that take the exact path through one component at 5e153."""
+    with one component at the edge of the search's domain, ±_QUERY_LIMIT."""
     keys, k, query = draw(knn_cases())
     m = draw(st.integers(0, 150))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -287,7 +288,7 @@ def knn_batch_cases(draw):
     queries[moved] += (scales * rng.normal(size=(m, POSE_DIM)))[moved]
     queries[rng.random(m) < 0.2] = query
     for i in np.flatnonzero(rng.random(m) < 0.1):
-        queries[i, rng.integers(0, POSE_DIM)] = rng.choice([-5e153, 5e153])
+        queries[i, rng.integers(0, POSE_DIM)] = rng.choice([-_QUERY_LIMIT, _QUERY_LIMIT])
     return keys, k, queries
 
 
@@ -396,12 +397,16 @@ class TestNearestIndices:
                 NeighborStore(finite, bad)
 
     def test_store_of_keys_whose_norms_overflow_builds_silently(self):
-        keys = np.full((5, POSE_DIM), 1e160)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # keys whose norms would overflow lie beyond the search's domain
+            with pytest.raises(ValueError):
+                NeighborStore(np.full((5, POSE_DIM), 1e160), np.zeros((5, POSE_DIM)))
+            # keys at its edge build, and every distance stays finite
+            keys = np.full((5, POSE_DIM), _QUERY_LIMIT)
+            keys[1::2] *= -1.0
             store = NeighborStore(keys, np.zeros_like(keys), k=3)
-            # an infinite norm bound sends the query down the exact path
-            assert list(nearest_indices(store, keys[0])) == [0, 1, 2]
+            assert list(nearest_indices(store, keys[1])) == [1, 3, 0]
 
     def test_non_finite_query_is_numerical_error(self):
         rng = np.random.default_rng(16)
@@ -419,13 +424,17 @@ class TestNearestIndices:
         store = NeighborStore(keys, keys, k=k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # finite, but every distance overflows: the k nearest are undefined
+            # finite, but far beyond the search's domain: distances overflow
             with pytest.raises(NumericalError):
                 nearest_indices(store, 1e306 * rng.normal(size=POSE_DIM))
-            # |q|^2 could overflow at the limit, but every distance is finite
+            # at the edge of the search's domain every distance is finite
             query = rng.normal(size=POSE_DIM)
-            query[4] = 5e153
+            query[4] = _QUERY_LIMIT
             assert list(nearest_indices(store, query)) == brute_force_nearest(keys, query, k)
+            # one step beyond it, distances could overflow
+            query[4] = np.nextafter(_QUERY_LIMIT, math.inf)
+            with pytest.raises(NumericalError, match="overflow"):
+                nearest_indices(store, query)
 
     def test_track_matches_brute_force_loop(self):
         rng = np.random.default_rng(17)

@@ -10,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from skelrefine import seqio
 from skelrefine.cli import main
-from skelrefine.errors import DataError
+from skelrefine.errors import DataError, NumericalError
 from skelrefine.seqio import read_sequence, write_sequence
-from skelrefine.skeleton import POSE_DIM, Encoding, SkeletonSequence
+from skelrefine.skeleton import POSE_DIM, VALUE_LIMIT, Encoding, SkeletonSequence
 
 from conftest import random_absolute_sequence
 
@@ -45,24 +45,33 @@ def per_element_bytes(seq) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
-                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 0.1, 1 / 3,
+                VALUE_LIMIT, -VALUE_LIMIT]
+_BEYOND_VALUES = [float(np.nextafter(VALUE_LIMIT, np.inf)), -1e7, 1e308, -1e308,
+                  1.7976931348623157e308, -1.7976931348623157e308]
 
 
 @settings(max_examples=60, deadline=None)
-@given(hnp.arrays(
+@given(data=hnp.arrays(
     np.float64, st.tuples(st.integers(1, 4), st.just(POSE_DIM)),
     elements=st.one_of(st.sampled_from(_EDGE_VALUES),
-                       st.floats(allow_nan=False, allow_infinity=False)),
-))
-def test_write_matches_per_element_formatting_and_reads_back_exactly(data):
+                       st.floats(-VALUE_LIMIT, VALUE_LIMIT)),
+), beyond=st.one_of(st.none(), st.sampled_from(_BEYOND_VALUES)), at=st.integers(0, 4 * POSE_DIM))
+def test_write_matches_per_element_formatting_and_reads_back_exactly(data, beyond, at):
+    if beyond is not None:
+        data[np.unravel_index(at % data.size, data.shape)] = beyond
     seq = SkeletonSequence(data, Encoding.ABSOLUTE, 30.0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "seq.jsonl"
         write_sequence(path, seq)
         assert path.read_bytes() == per_element_bytes(seq)
-        # bytes, so that -0.0 and 0.0 differ
-        assert read_sequence(path).data.tobytes() == seq.data.tobytes()
+        if beyond is None:
+            # bytes, so that -0.0 and 0.0 differ
+            assert read_sequence(path).data.tobytes() == seq.data.tobytes()
+        else:
+            # the reader accepts values within VALUE_LIMIT only
+            with pytest.raises(NumericalError):
+                read_sequence(path)
 
 
 @pytest.mark.parametrize("previous", [True, False])
