@@ -48,8 +48,8 @@ from .skeleton import (
     Encoding,
     KinematicTree,
     SkeletonSequence,
-    absolute_coords,
-    relative_coords,
+    sequence_to_absolute,
+    sequence_to_relative,
     velocities,
 )
 
@@ -150,9 +150,8 @@ def _params_from_arrays(config: DrnnConfig, arrays: list[np.ndarray]) -> DrnnPar
 
 
 def init_params(config: DrnnConfig) -> DrnnParams:
-    """Seeded random initialization, drawn in the order of _expected_shapes:
-    each (fan_in, fan_out) weight matrix uniform(-a, a) with
-    a = sqrt(6/(fan_in + fan_out)), each bias zeros."""
+    """Seeded random initialization in the order of _expected_shapes: each
+    (fan_in, fan_out) matrix uniform(-a, a), a = sqrt(6/(fan_in + fan_out))."""
     rng = np.random.default_rng(config.seed)
     arrays = []
     for _, shape in _expected_shapes(config):
@@ -533,8 +532,10 @@ def refine_positions(params: DrnnParams, seq: SkeletonSequence,
     """
     if seq.encoding is not Encoding.ABSOLUTE:
         raise EncodingError("refine_positions expects an absolute sequence")
-    refined = run_stream(params, relative_coords(seq.data, tree))
-    return seq.with_data(absolute_coords(refined, tree))
+    rel = sequence_to_relative(seq, tree)
+    refined = SkeletonSequence(run_stream(params, rel.data), Encoding.RELATIVE,
+                               seq.frame_rate_hz)
+    return sequence_to_absolute(refined, tree)
 
 
 def refine_velocities(params: DrnnParams, seq: SkeletonSequence) -> np.ndarray:
@@ -544,13 +545,16 @@ def refine_velocities(params: DrnnParams, seq: SkeletonSequence) -> np.ndarray:
 
 def save_checkpoint(path, params: DrnnParams) -> None:
     """Versioned JSON container: config plus all matrices, row-major,
-    written atomically."""
+    written atomically. A value that load_checkpoint would refuse, not finite
+    or beyond VALUE_LIMIT, raises NumericalError, and nothing is written."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "arrays": {},
     }
     for (name, shape), array in zip(_expected_shapes(params.config), _param_arrays(params)):
+        if not np.abs(array).max() <= VALUE_LIMIT:  # NaN fails too
+            raise NumericalError(f"{path}: array {name!r} not finite or beyond ±{VALUE_LIMIT:g}")
         payload["arrays"][name] = {
             "shape": list(shape),
             "data": [float(v) for v in array.ravel()],

@@ -58,13 +58,9 @@ def whole_count(raw, what: str, minimum: int = 1) -> int:
 def real_number(raw, what: str) -> float:
     """A real within ±VALUE_LIMIT as a float: a JSON integer or number, not
     a boolean."""
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        try:
-            value = float(raw)
-        except OverflowError:
-            value = math.inf
-        if abs(value) <= VALUE_LIMIT:  # NaN fails too
-            return value
+    # an int compares exactly, so one too large for a float fails too, as NaN does
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= VALUE_LIMIT:
+        return float(raw)
     raise ConfigurationError(f"{what} must be a finite number within ±{VALUE_LIMIT:g}: {raw!r}")
 
 

@@ -22,11 +22,12 @@ from .errors import (
 
 N_JOINTS = 16
 POSE_DIM = 3 * N_JOINTS
-# The largest magnitude of a joint value, checkpoint parameter or real config
-# setting the program takes in, or of a network's or variant's output. A
-# tracker reports metres within a few metres of its sensor; within this bound
-# all the pipeline derives stays below about 1e30: a tree-depth sum, a third
-# difference, a 48-term squared distance, a Kalman recursion over 1e7 frames.
+# The largest magnitude of a joint value, checkpoint parameter or real setting
+# the program takes in, or of a network's or variant's output. A tracker
+# reports metres within a few metres of its sensor; within this bound all the
+# pipeline derives stays below about 1e30 (a tree-depth sum, a third
+# difference, a 48-term squared distance, a Kalman recursion over 1e7 frames).
+# Data beyond it is NumericalError; a setting beyond it is malformed input.
 VALUE_LIMIT = 1e6
 
 

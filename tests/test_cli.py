@@ -442,6 +442,29 @@ class TestTrainCommand:
         assert not (tmp_path / "models" / "pdrnn.json").exists()
         assert not (tmp_path / "models" / "pdrnn_loss.csv").exists()
 
+    def test_trained_parameters_beyond_the_value_limit_are_one_line_numerical_error(
+            self, workspace, capsys, monkeypatch):
+        tmp_path, config = workspace
+        assert run("synth", "--config", config) == 0
+        train = drnn.train
+
+        def overshooting(*args, **kwargs):
+            # a fit whose output bias the checkpoint loader would refuse
+            result = train(*args, **kwargs)
+            result.params.out_bias[:] = 2e6
+            return result
+
+        monkeypatch.setattr(drnn, "train", overshooting)
+        capsys.readouterr()
+        code = run("train", "--config", config, "--which", "pdrnn")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "out_bias" in captured.err
+        assert not (tmp_path / "models" / "pdrnn.json").exists()
+        assert not (tmp_path / "models" / "pdrnn_loss.csv").exists()
+
     def test_summary_counts_loss_and_gradient_evaluations(self, workspace, capsys,
                                                           monkeypatch):
         _, config = workspace

@@ -38,6 +38,7 @@ from skelrefine.errors import (
     DimensionError,
     EncodingError,
     InsufficientFramesError,
+    NumericalError,
     TrainingDivergedError,
 )
 from skelrefine.skeleton import DEFAULT_TREE, POSE_DIM, Encoding, SkeletonSequence, velocities
@@ -816,6 +817,15 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [2e6, -2e6, np.inf, np.nan])
+    def test_array_the_loader_would_refuse_is_not_written(self, tmp_path, value):
+        params = init_params(tiny_config())
+        params.out_bias[0] = value
+        path = tmp_path / "net.json"
+        with pytest.raises(NumericalError, match="out_bias"):
+            save_checkpoint(path, params)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_version_detected(self, tmp_path):
         import json

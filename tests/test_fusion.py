@@ -397,6 +397,9 @@ class TestNearestIndices:
                 NeighborStore(finite, bad)
 
     def test_store_of_keys_whose_norms_overflow_builds_silently(self):
+        """The name is historical: such a store once built without a warning.
+        The contract now is that keys beyond _QUERY_LIMIT are refused, and
+        keys at that limit build."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # keys whose norms would overflow lie beyond the search's domain

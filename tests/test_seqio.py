@@ -143,7 +143,9 @@ def test_malformed_files_rejected(tmp_path, lines):
         read_sequence(path)
 
 
-@pytest.mark.parametrize("frame_rate", ["true", "Infinity"])
+# a frame rate beyond VALUE_LIMIT is a malformed header, exit 2, as any bad
+# setting is; only joint values beyond it are exit 3
+@pytest.mark.parametrize("frame_rate", ["true", "Infinity", "2e6"])
 def test_header_frame_rate_is_a_one_line_data_error_naming_the_file(tmp_path, capsys,
                                                                      frame_rate):
     path = tmp_path / "bad.jsonl"
